@@ -16,78 +16,52 @@ Modelled behaviour, each piece tied to a paper observation:
   achieves the peak bandwidth").
 * Each hop adds a small pipeline latency, giving the small (<2 GB/s)
   distance dependence of Figure 10's experiment.
+
+Both engines drive one arbitration state through the same four
+functions — :meth:`Eib._grant`, :meth:`Eib._release`, :meth:`Eib._drain`
+and :meth:`Eib._contending` — so every arbitration decision is written
+once.  :meth:`Eib.transfer` is the reference driver (a generator, with
+the trace and fault branches); the fast engine's movers in
+:mod:`repro.cell.mfc` are the other.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from collections.abc import Generator
+from typing import Any
 
 from repro.cell.config import CellConfig
 from repro.cell.errors import ConfigError
 from repro.cell.topology import CLOCKWISE, COUNTERCLOCKWISE, RingTopology
-from repro.sim import BusyMonitor, Environment, Event
-from repro.sim.core import Completion
+from repro.sim import Environment, Event
 from repro.sim.trace import EibGrant, EibRelease, EibTransfer, EibWait
 
 #: Extra CPU cycles of pipeline latency per hop travelled.
 HOP_LATENCY_CYCLES = 2
 
-
-@dataclass
-class TransferGrant:
-    """A committed reservation: one ring, a span set, both ports.
-
-    ``penalty_cycles`` is re-arbitration dead time attached when the
-    grant had to wait behind other requesters.
-    """
-
-    ring: Ring
-    spans: tuple[int, ...]
-    span_set: frozenset
-    src: str
-    dst: str
-    penalty_cycles: int = 0
-    committed_at: int = 0
-
-
-class Ring:
-    """One data ring: a direction plus the set of active span sets."""
-
-    def __init__(self, name: str, direction: int, max_transfers: int):
-        self.name = name
-        self.direction = direction
-        self.max_transfers = max_transfers
-        self._active: list[frozenset] = []
-        self._occupied: set = set()
-
-    @property
-    def active_transfers(self) -> int:
-        return len(self._active)
-
-    def can_accept(self, span_set: frozenset) -> bool:
-        """True when the ring has a free slot and no span overlaps."""
-        if len(self._active) >= self.max_transfers:
-            return False
-        return self._occupied.isdisjoint(span_set)
-
-    def add(self, span_set: frozenset) -> None:
-        if not self.can_accept(span_set):
-            raise ConfigError(f"ring {self.name} cannot accept {span_set}")
-        self._active.append(span_set)
-        self._occupied |= span_set
-
-    def remove(self, span_set: frozenset) -> None:
-        # Active span sets are pairwise disjoint (can_accept admits only
-        # disjoint sets), so subtraction equals rebuilding the union.
-        self._active.remove(span_set)
-        self._occupied -= span_set
+#: Endpoints whose transfers pay no re-arbitration penalty: the MIC and
+#: IOIF controllers keep streaming across grant boundaries (deep
+#: controller queues).
+MEMORY_SIDE = frozenset(("MIC", "IOIF0", "IOIF1"))
 
 
 class Eib:
-    """The bus: arbitration, routing, port accounting and statistics."""
+    """The bus: arbitration, routing, port accounting and statistics.
+
+    The arbitration state is bitmasks: span ``i`` and the node at ring
+    index ``i`` own bit ``i``, so span disjointness is one AND per
+    candidate ring and a busy-port probe one AND per side.  A transfer is described by its
+    *leg* (:meth:`leg`), a tuple memoised per (src, dst, nbytes)::
+
+        (choices, srcbit, ~srcbit, dstbit, ~dstbit, holds, memory_side)
+
+    ``choices`` lists ``(ring index, span mask, ~span mask, hop
+    latency)`` per candidate path, nearest direction first; ``holds``
+    is the per-chunk hold (arbitration + data cycles) of the
+    grant-quantum chunk schedule.
+    """
 
     def __init__(
         self,
@@ -98,51 +72,36 @@ class Eib:
         self.env = env
         self.topology = topology
         self.config = config
-        self.rings: list[Ring] = []
+        names: list[str] = []
+        directions: list[int] = []
         for direction, label in ((CLOCKWISE, "cw"), (COUNTERCLOCKWISE, "ccw")):
             for i in range(config.eib.rings_per_direction):
-                self.rings.append(
-                    Ring(f"{label}{i}", direction, config.eib.max_transfers_per_ring)
-                )
-        self._out_busy: dict[str, bool] = {node: False for node in topology.order}
-        self._in_busy: dict[str, bool] = {node: False for node in topology.order}
-        # Reference waiters are (Event, src, dst); coalescing-engine
-        # waiters are (actor, src, dst, leg).  Only one kind ever lives
-        # in the deque — an environment is wholly one engine.
+                names.append(f"{label}{i}")
+                directions.append(direction)
+        self.ring_names = tuple(names)
+        self._ring_directions = tuple(directions)
+        # Per ring: spans held, transfers active, and busy time (cycles
+        # of closed busy stretches plus the open stretch's start).
+        self._occ = [0] * len(names)
+        self._nact = [0] * len(names)
+        self._busy_cycles = [0] * len(names)
+        self._busy_since = [0] * len(names)
+        self._started = env.now
+        self._max_transfers = config.eib.max_transfers_per_ring
+        self._retry = config.eib.conflict_retry_cycles
+        # Busy out-ramps and in-ramps, one bit per node.
+        self._out_ports = 0
+        self._in_ports = 0
+        # Queued requests in FIFO order, each (waiter, src, dst, leg); the
+        # waiter is a reference Event or a fast-engine actor.
         self._waiters: deque[tuple] = deque()
-        self._span_sets: dict[tuple[str, str, int], frozenset] = {}
-        self._rates: dict[tuple[str, str], float] = {}
-        # Coalescing-engine memos: the pure-topology part of _try_grant
-        # and the chunk schedule of a transfer, keyed per path.  Both
-        # are derived from the same reference methods, so the *decision*
-        # tables cannot drift from the reference decision code.
-        self._fast_choices: dict[tuple[str, str], tuple] = {}
-        self._chunk_plans: dict[tuple[str, str, int], tuple] = {}
-        if env.coalescing:
-            # Bitmask twin of the arbitration state, one int op where the
-            # reference keeps sets and dicts.  Spans and nodes each get a
-            # unique bit, so mask disjointness is exactly frozenset
-            # disjointness and a busy-port probe is one AND.  The leg
-            # table folds choices, port bits, chunk plan and the
-            # memory-side flag into one tuple per (src, dst, nbytes).
-            self._fast_occ: list[int] = [0] * len(self.rings)
-            self._fast_nact: list[int] = [0] * len(self.rings)
-            self._fast_max: int = config.eib.max_transfers_per_ring
-            self._fast_out: int = 0
-            self._fast_in: int = 0
-            self._node_bits: dict[str, int] = {
-                node: 1 << i for i, node in enumerate(topology.order)
-            }
-            self._span_bits: dict = {}
-            self._fast_leg_memo: dict[tuple[str, str, int], tuple] = {}
-            self._fast_retry: int = config.eib.conflict_retry_cycles
-            self._contend_memo: dict[tuple, int] = {}
+        self._legs: dict[tuple[str, str, int], tuple] = {}
+        self._contend_memo: dict[tuple, int] = {}
         # Statistics the analysis layer reads.
         self.grants = 0
         self.conflicts = 0
         self.wait_cycles = 0
         self.bytes_moved = 0
-        self.ring_monitors = {ring.name: BusyMonitor(env, ring.name) for ring in self.rings}
         self._trace = env.trace
         self._tracing = env.trace.enabled
         self._faults = env.faults
@@ -153,25 +112,38 @@ class Eib:
 
     def transfer(
         self, src: str, dst: str, nbytes: int
-    ) -> Generator[Event, object, None]:
+    ) -> Generator[Event, Any, None]:
         """Move ``nbytes`` from ``src`` to ``dst``; a process sub-generator
         (use ``yield from``).  Returns once the last byte has landed."""
         if src == dst:
             raise ConfigError(f"EIB transfer from {src!r} to itself")
         if nbytes <= 0:
             raise ConfigError(f"EIB transfer of {nbytes} bytes")
-        rate = self.fast_rate(src, dst)
+        leg = self.leg(src, dst, nbytes)
         quantum = self.config.eib.grant_quantum_bytes
         remaining = nbytes
-        while remaining > 0:
-            chunk = min(remaining, quantum)
-            grant = yield from self._acquire(src, dst)
-            duration = (
-                self.config.eib.arbitration_cycles
-                + grant.penalty_cycles
-                + len(grant.spans) * HOP_LATENCY_CYCLES
-                + math.ceil(chunk / rate)
-            )
+        for hold in leg[5]:
+            self.grants += 1
+            choice = self._grant(leg)
+            if choice is not None:
+                ri, _mask, notmask, latency = choice
+                penalty = 0
+                if self._tracing:
+                    self._trace_grant(src, dst, ri, immediate=True)
+            else:
+                self.conflicts += 1
+                waiting = self.env.event()
+                self._waiters.append((waiting, src, dst, leg))
+                started = self.env.now
+                ri, notmask, latency, penalty = yield waiting
+                waited = self.env.now - started
+                self.wait_cycles += waited
+                if self._tracing:
+                    self._trace.emit(
+                        EibWait(ts=self.env.now, src=src, dst=dst, cycles=waited)
+                    )
+            committed_at = self.env.now
+            duration = penalty + latency + hold
             if self._faulting:
                 # Ring-segment degradation / grant starvation: the
                 # committed path carries dead cycles before data moves.
@@ -180,127 +152,80 @@ class Eib:
                     duration += degraded
                     self.fault_cycles += degraded
             yield self.env.timeout(duration)
-            self._release(grant, chunk)
+            chunk = min(remaining, quantum)
             remaining -= chunk
+            if self._tracing:
+                self._trace.emit(
+                    EibRelease(
+                        ts=self.env.now,
+                        src=src,
+                        dst=dst,
+                        ring=self.ring_names[ri],
+                        nbytes=chunk,
+                        start=committed_at,
+                    )
+                )
+            self._release(leg, ri, notmask)
         self.bytes_moved += nbytes
         if self._tracing:
             self._trace.emit(
                 EibTransfer(ts=self.env.now, src=src, dst=dst, nbytes=nbytes)
             )
 
-    def fast_rate(self, src: str, dst: str) -> float:
-        """Path rate (bytes per CPU cycle), memoised per (src, dst) —
-        the coalescing engine asks once per chunk, so the two config
-        lookups would otherwise dominate."""
-        key = (src, dst)
-        rate = self._rates.get(key)
-        if rate is None:
-            rate = min(
-                self.config.node_rate_bytes_per_cpu_cycle(src),
-                self.config.node_rate_bytes_per_cpu_cycle(dst),
-            )
-            self._rates[key] = rate
-        return rate
-
-    def fast_path_choices(
-        self, src: str, dst: str
-    ) -> tuple[tuple[Ring, tuple, frozenset, int], ...]:
-        """The arbitration candidates for a path, in the exact order
-        :meth:`_try_grant` tries them: ``(ring, spans, span set, hop
-        latency cycles)`` per (direction, ring) pair.  Memoised — the
-        candidates are pure topology, only ring *occupancy* changes
-        over time, and grant checks probe that occupancy inline."""
-        key = (src, dst)
-        choices = self._fast_choices.get(key)
-        if choices is None:
-            built = []
-            for direction in self.topology.directions_by_distance(src, dst):
-                spans = self.topology.path(src, dst, direction)
-                if len(spans) > self.config.eib.max_hops:
-                    continue
-                span_set = self._span_set(src, dst, direction)
-                latency = len(spans) * HOP_LATENCY_CYCLES
-                for ring in self.rings:
-                    if ring.direction == direction:
-                        built.append((ring, spans, span_set, latency))
-            choices = tuple(built)
-            self._fast_choices[key] = choices
-        return choices
-
-    def fast_chunks(self, src: str, dst: str, nbytes: int) -> tuple[int, ...]:
-        """The grant-quantum chunk schedule of :meth:`transfer` as a
-        memoised tuple of per-chunk hold cycles (arbitration + data) —
-        the per-chunk ``min``/``ceil`` arithmetic is invariant per
-        (path, size), every chunk pays the same fixed arbitration cost,
-        and the chunk byte counts are not needed downstream (movers
-        account bytes from their own ``nbytes``), so only the cycle
-        totals are kept."""
+    def leg(self, src: str, dst: str, nbytes: int) -> tuple:
+        """The leg record of a transfer (see the class docstring),
+        memoised: candidates, masks and chunk holds are pure topology and
+        configuration; only occupancy changes over time."""
         key = (src, dst, nbytes)
-        plan = self._chunk_plans.get(key)
-        if plan is None:
-            rate = self.fast_rate(src, dst)
-            quantum = self.config.eib.grant_quantum_bytes
-            arbitration = self.config.eib.arbitration_cycles
-            built = []
-            remaining = nbytes
-            while remaining > 0:
-                chunk = min(remaining, quantum)
-                built.append(arbitration + math.ceil(chunk / rate))
-                remaining -= chunk
-            plan = tuple(built)
-            self._chunk_plans[key] = plan
-        return plan
-
-    def fast_leg(self, src: str, dst: str, nbytes: int) -> tuple:
-        """The coalescing engine's whole-leg record, memoised per
-        (src, dst, nbytes)::
-
-            (choices, srcbit, ~srcbit, dstbit, ~dstbit, plan, memory_side)
-
-        where ``choices`` is ``(ring index, span mask, ~span mask, hop
-        latency)`` per candidate in :meth:`fast_path_choices` order and
-        ``plan`` is :meth:`fast_chunks`.  Every mask is derived from the
-        reference span sets with one unique bit per span, so mask
-        disjointness *is* span-set disjointness — the decision table
-        cannot drift from the reference decision code."""
-        key = (src, dst, nbytes)
-        leg = self._fast_leg_memo.get(key)
-        if leg is None:
-            span_bits = self._span_bits
-            built = []
-            for ring, _spans, span_set, latency in self.fast_path_choices(src, dst):
-                mask = 0
-                for span in span_set:
-                    bit = span_bits.get(span)
-                    if bit is None:
-                        bit = 1 << len(span_bits)
-                        span_bits[span] = bit
-                    mask |= bit
-                built.append((self.rings.index(ring), mask, ~mask, latency))
-            srcbit = self._node_bits[src]
-            dstbit = self._node_bits[dst]
-            memory_side = (
-                src in ("MIC", "IOIF0", "IOIF1")
-                or dst in ("MIC", "IOIF0", "IOIF1")
-            )
-            leg = (
-                tuple(built),
-                srcbit,
-                ~srcbit,
-                dstbit,
-                ~dstbit,
-                self.fast_chunks(src, dst, nbytes),
-                memory_side,
-            )
-            self._fast_leg_memo[key] = leg
+        leg = self._legs.get(key)
+        if leg is not None:
+            return leg
+        eib = self.config.eib
+        choices = []
+        for direction in self.topology.directions_by_distance(src, dst):
+            spans = self.topology.path(src, dst, direction)
+            if len(spans) > eib.max_hops:
+                continue
+            mask = sum(1 << span for span in spans)
+            latency = len(spans) * HOP_LATENCY_CYCLES
+            for ri, ring_direction in enumerate(self._ring_directions):
+                if ring_direction == direction:
+                    choices.append((ri, mask, ~mask, latency))
+        rate = min(
+            self.config.node_rate_bytes_per_cpu_cycle(src),
+            self.config.node_rate_bytes_per_cpu_cycle(dst),
+        )
+        holds = []
+        remaining = nbytes
+        while remaining > 0:
+            chunk = min(remaining, eib.grant_quantum_bytes)
+            holds.append(eib.arbitration_cycles + math.ceil(chunk / rate))
+            remaining -= chunk
+        srcbit = 1 << self.topology.index(src)
+        dstbit = 1 << self.topology.index(dst)
+        leg = (
+            tuple(choices),
+            srcbit,
+            ~srcbit,
+            dstbit,
+            ~dstbit,
+            tuple(holds),
+            src in MEMORY_SIDE or dst in MEMORY_SIDE,
+        )
+        self._legs[key] = leg
         return leg
 
     def utilization(self) -> dict[str, float]:
         """Busy fraction of each ring over the run so far."""
-        return {
-            name: monitor.utilization()
-            for name, monitor in self.ring_monitors.items()
-        }
+        now = self.env.now
+        elapsed = now - self._started
+        result = {}
+        for ri, name in enumerate(self.ring_names):
+            busy = self._busy_cycles[ri]
+            if self._nact[ri]:
+                busy += now - self._busy_since[ri]
+            result[name] = busy / elapsed if elapsed > 0 else 0.0
+        return result
 
     @property
     def conflict_fraction(self) -> float:
@@ -311,200 +236,83 @@ class Eib:
 
     # -- arbitration --------------------------------------------------------------
 
-    def _acquire(self, src: str, dst: str) -> Generator[Event, object, TransferGrant]:
-        grant = self._try_grant(src, dst)
-        if grant is not None:
-            self._commit(grant, immediate=True)
-            self.grants += 1
-            return grant
-        self.grants += 1
-        self.conflicts += 1
-        waiting = self.env.event()
-        self._waiters.append((waiting, src, dst))
-        started = self.env.now
-        grant = yield waiting
-        waited = self.env.now - started
-        self.wait_cycles += waited
-        if self._tracing:
-            self._trace.emit(
-                EibWait(ts=self.env.now, src=src, dst=dst, cycles=waited)
-            )
-        return grant
-
-    def _span_set(self, src: str, dst: str, direction: int) -> frozenset:
-        key = (src, dst, direction)
-        cached = self._span_sets.get(key)
-        if cached is None:
-            cached = frozenset(self.topology.path(src, dst, direction))
-            self._span_sets[key] = cached
-        return cached
-
-    def _try_grant(self, src: str, dst: str) -> TransferGrant | None:
-        """Find a free path; does NOT commit resources.  Candidates come
-        from the memoised table (same order this method historically
-        built inline); only the occupancy probe runs per call."""
-        if self._out_busy[src] or self._in_busy[dst]:
+    def _grant(self, leg: tuple) -> tuple | None:
+        """Commit the first free candidate path of ``leg`` — both ports
+        idle, a ring with a free slot and no span overlap — and return
+        its choice tuple, or None when nothing fits."""
+        srcbit = leg[1]
+        dstbit = leg[3]
+        if self._out_ports & srcbit or self._in_ports & dstbit:
             return None
-        for ring, spans, span_set, _latency in self.fast_path_choices(src, dst):
-            if (
-                len(ring._active) < ring.max_transfers
-                and ring._occupied.isdisjoint(span_set)
-            ):
-                return TransferGrant(
-                    ring=ring, spans=spans, span_set=span_set, src=src, dst=dst
-                )
+        occ = self._occ
+        nact = self._nact
+        for choice in leg[0]:
+            ri = choice[0]
+            active = nact[ri]
+            if active < self._max_transfers and not occ[ri] & choice[1]:
+                occ[ri] |= choice[1]
+                if not active:
+                    self._busy_since[ri] = self.env.now
+                nact[ri] = active + 1
+                self._out_ports |= srcbit
+                self._in_ports |= dstbit
+                return choice
         return None
 
-    def _commit(self, grant: TransferGrant, immediate: bool) -> None:
-        grant.ring.add(grant.span_set)
-        self._out_busy[grant.src] = True
-        self._in_busy[grant.dst] = True
-        self.ring_monitors[grant.ring.name].acquire()
-        if self._tracing:
-            grant.committed_at = self.env.now
-            self._trace.emit(
-                EibGrant(
-                    ts=self.env.now,
-                    src=grant.src,
-                    dst=grant.dst,
-                    ring=grant.ring.name,
-                    spans=tuple(grant.spans),
-                    immediate=immediate,
-                )
-            )
+    def _release(self, leg: tuple, ri: int, notmask: int) -> None:
+        """Free a granted path, then grant queued requests that now fit."""
+        self._occ[ri] &= notmask
+        active = self._nact[ri] - 1
+        self._nact[ri] = active
+        if not active:
+            self._busy_cycles[ri] += self.env.now - self._busy_since[ri]
+        self._out_ports &= leg[2]
+        self._in_ports &= leg[4]
+        if self._waiters:
+            self._drain()
 
-    def _release(self, grant: TransferGrant, nbytes: int = 0) -> None:
-        grant.ring.remove(grant.span_set)
-        self._out_busy[grant.src] = False
-        self._in_busy[grant.dst] = False
-        self.ring_monitors[grant.ring.name].release()
-        if self._tracing:
-            self._trace.emit(
-                EibRelease(
-                    ts=self.env.now,
-                    src=grant.src,
-                    dst=grant.dst,
-                    ring=grant.ring.name,
-                    nbytes=nbytes,
-                    start=grant.committed_at,
-                )
-            )
-        self._drain_waiters()
-
-    def _drain_waiters(self) -> None:
+    def _drain(self) -> None:
         """Grant every queued request that now fits, in FIFO order.
 
-        Grants are committed here, before the waiting processes resume,
-        so two releases in the same cycle cannot double-book a path."""
+        Grants are committed here, before the waiters resume, so two
+        releases in the same cycle cannot double-book a path.  Each
+        granted waiter gets ``(ring index, ~span mask, hop latency,
+        penalty)`` through ``succeed``."""
         waiters = self._waiters
-        if not waiters:
-            return
-        out_busy = self._out_busy
-        in_busy = self._in_busy
-        still_waiting: deque[tuple[Event, str, str]] = deque()
-        granted: list[tuple[Event, TransferGrant]] | None = None
-        while waiters:
-            waiter = waiters.popleft()
-            _event, src, dst = waiter
-            # The busy-port probe of _try_grant, open-coded: most queued
-            # flows fail right here (each commit below busies a port
-            # pair), and the probe is two dict hits.
-            if out_busy[src] or in_busy[dst]:
-                still_waiting.append(waiter)
-                continue
-            for ring, spans, span_set, _latency in self.fast_path_choices(
-                src, dst
-            ):
-                if (
-                    len(ring._active) < ring.max_transfers
-                    and ring._occupied.isdisjoint(span_set)
-                ):
-                    grant = TransferGrant(
-                        ring=ring, spans=spans, span_set=span_set, src=src, dst=dst
-                    )
-                    self._commit(grant, immediate=False)
-                    if granted is None:
-                        granted = []
-                    granted.append((waiter[0], grant))
-                    break
-            else:
-                still_waiting.append(waiter)
-        self._waiters = still_waiting
-        if granted is None:
-            return
-        for event, grant in granted:
-            if not self._memory_side(grant):
-                grant.penalty_cycles = (
-                    self.config.eib.conflict_retry_cycles
-                    * self._contending_flows(grant)
-                )
-            event.succeed(grant)
-
-    def _drain_waiters_fast(self) -> None:
-        """:meth:`_drain_waiters` for coalescing-engine waiters — same
-        FIFO scan, same commit-before-resume discipline, run over the
-        bitmask twin of the arbitration state.  A granted waiter gets
-        ``(ring index, ~span mask, hop latency, penalty)`` as its value;
-        its ``_eib_granted`` continuation is popped off the heap exactly
-        where the reference pops the grant event."""
-        waiters = self._waiters
-        out_mask = self._fast_out
-        in_mask = self._fast_in
-        occ = self._fast_occ
-        nact = self._fast_nact
-        maxt = self._fast_max
+        grant = self._grant
         granted: list[tuple] | None = None
-        taken: set[int] = set()
-        # Scan in place: the common outcome is "nothing grantable", and
-        # leaving the deque untouched then is far cheaper than the
-        # pop-and-reappend rebuild (the result is identical — the old
-        # loop reassembled the same deque minus the granted entries, in
-        # order).
-        for index, waiter in enumerate(waiters):
-            actor, src, dst, leg = waiter
-            srcbit = leg[1]
-            dstbit = leg[3]
-            if out_mask & srcbit | in_mask & dstbit:
-                continue
-            for ri, mask, notmask, latency in leg[0]:
-                if nact[ri] < maxt and not occ[ri] & mask:
-                    occ[ri] |= mask
-                    nact[ri] += 1
-                    out_mask |= srcbit
-                    in_mask |= dstbit
-                    if granted is None:
-                        granted = []
-                    granted.append((actor, ri, notmask, latency, leg, src, dst))
-                    taken.add(index)
-                    break
-        self._fast_out = out_mask
-        self._fast_in = in_mask
+        for waiter in waiters:
+            choice = grant(waiter[3])
+            if choice is not None:
+                if granted is None:
+                    granted = []
+                granted.append((waiter, choice))
         if granted is None:
             return
-        self._waiters = deque(
-            waiter
-            for index, waiter in enumerate(waiters)
-            if index not in taken
-        )
-        retry = self._fast_retry
-        rings = self.rings
-        for actor, ri, notmask, latency, leg, src, dst in granted:
+        for waiter, _choice in granted:
+            waiters.remove(waiter)
+        for (waiter, src, dst, leg), choice in granted:
+            ri = choice[0]
             if leg[6]:
                 penalty = 0
             else:
-                penalty = retry * self._contending_flows_fast(
-                    src, dst, rings[ri].direction
+                penalty = self._retry * self._contending(
+                    src, dst, self._ring_directions[ri]
                 )
-            actor.succeed((ri, notmask, latency, penalty))
+            if self._tracing:
+                self._trace_grant(src, dst, ri, immediate=False)
+            waiter.succeed((ri, choice[2], choice[3], penalty))
 
-    def _contending_flows_fast(self, gsrc: str, gdst: str, direction: int) -> int:
-        """:meth:`_contending_flows` with the per-flow-pair verdict
-        memoised — the verdict is pure topology (the reference helpers
-        compute it on first sight of a pair), only the set of waiting
-        flows changes over time."""
+    def _contending(self, gsrc: str, gdst: str, direction: int) -> int:
+        """Distinct other flows still waiting that a grant of (gsrc,
+        gdst) in ``direction`` is holding up: same source ramp, same
+        destination ramp, or a span overlap in that direction.  A flow's
+        own pipelined commands do not count — the BIU presents one bus
+        request per flow.  The per-flow-pair verdict is pure topology,
+        so it is memoised."""
         flows = {
             (src, dst)
-            for _actor, src, dst, _leg in self._waiters
+            for _waiter, src, dst, _leg in self._waiters
             if (src, dst) != (gsrc, gdst)
         }
         count = 0
@@ -513,48 +321,31 @@ class Eib:
             key = (gsrc, gdst, direction, src, dst)
             verdict = memo.get(key)
             if verdict is None:
-                if src == gsrc or dst == gdst:
-                    verdict = 1
-                elif direction in self.topology.directions_by_distance(
-                    src, dst
-                ) and not self._span_set(gsrc, gdst, direction).isdisjoint(
-                    self._span_set(src, dst, direction)
-                ):
-                    verdict = 1
-                else:
-                    verdict = 0
+                topology = self.topology
+                verdict = int(
+                    src == gsrc
+                    or dst == gdst
+                    or (
+                        direction in topology.directions_by_distance(src, dst)
+                        and not set(topology.path(gsrc, gdst, direction)).isdisjoint(
+                            topology.path(src, dst, direction)
+                        )
+                    )
+                )
                 memo[key] = verdict
             count += verdict
         return count
 
-    def _contending_flows(self, grant: TransferGrant) -> int:
-        """Distinct other flows still waiting that this grant is holding
-        up: same source ramp, same destination ramp, or a span overlap
-        in the granted direction.  A flow's own pipelined commands do
-        not count — the BIU presents one bus request per flow."""
-        waiting_flows = {
-            (src, dst)
-            for _event, src, dst in self._waiters
-            if (src, dst) != (grant.src, grant.dst)
-        }
-        count = 0
-        for src, dst in waiting_flows:
-            if src == grant.src or dst == grant.dst:
-                count += 1
-                continue
-            if grant.ring.direction in self.topology.directions_by_distance(
-                src, dst
-            ) and not grant.span_set.isdisjoint(
-                self._span_set(src, dst, grant.ring.direction)
-            ):
-                count += 1
-        return count
-
-    @staticmethod
-    def _memory_side(grant: TransferGrant) -> bool:
-        """Transfers touching the MIC or an IOIF keep streaming across
-        grant boundaries (deep controller queues) — no retry penalty."""
-        return (
-            grant.src in ("MIC", "IOIF0", "IOIF1")
-            or grant.dst in ("MIC", "IOIF0", "IOIF1")
+    def _trace_grant(self, src: str, dst: str, ri: int, immediate: bool) -> None:
+        self._trace.emit(
+            EibGrant(
+                ts=self.env.now,
+                src=src,
+                dst=dst,
+                ring=self.ring_names[ri],
+                spans=tuple(
+                    self.topology.path(src, dst, self._ring_directions[ri])
+                ),
+                immediate=immediate,
+            )
         )

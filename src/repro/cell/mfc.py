@@ -37,7 +37,6 @@ from repro.cell.dma import (
     coalesce_bursts,
     uniform_bursts,
 )
-from repro.cell.eib import HOP_LATENCY_CYCLES
 from repro.cell.errors import CellError
 from repro.cell.memory import READ, WRITE
 from repro.sim import AllOf, Environment, Event, Resource
@@ -293,29 +292,6 @@ class Mfc:
             return True
         self._fast_slots.wait(waiter)
         return False
-
-    def fast_spawn(
-        self,
-        direction: DmaDirection,
-        target: TargetKind,
-        remote_node: str | None,
-        size: int,
-        tag: int,
-        n_elements: int | None = None,
-    ) -> None:
-        """Start the flat executor for a claimed slot: the second half of
-        :meth:`enqueue`.  The caller has already validated the transfer
-        shape (the machines carry only what :meth:`_finish` reads)."""
-        machine: FastDmaCommand | FastDmaList
-        if n_elements is None:
-            machine = FastDmaCommand(
-                self.env, self, direction, target, remote_node, size, tag
-            )
-        else:
-            machine = FastDmaList(
-                self.env, self, direction, target, remote_node, size, n_elements, tag
-            )
-        self._register_enqueue(machine)
 
     def fast_tags_quiet(self, tags: Iterable[int], waiter: Completion) -> bool:
         """True when every listed tag group is already empty, else park
@@ -611,14 +587,20 @@ class Mfc:
 
 # -- coalescing-engine command machines ------------------------------------------
 #
-# Flat-actor twins of _execute_command / _execute_list / _move /
-# Eib.transfer.  Each state method corresponds to one resume point of the
-# reference generators; every _after/_park/succeed below occupies exactly
-# the heap slot its generator counterpart occupied (modulo the three
-# proven-exact coalescings documented in repro.sim.engine_fast).  The
-# machines never see fences, barriers, faults, tracing or the sanitizer:
-# the fast kernels issue none of the former, and resolve_engine falls
-# back to the reference engine when any observer is attached.
+# Flat-actor drivers of the same model as _execute_command /
+# _execute_list / _move / Eib.transfer.  Each state method corresponds to
+# one resume point of the reference generators; every _after/_park/succeed
+# below occupies exactly the heap slot its generator counterpart occupied
+# (modulo the proven-exact coalescings documented in
+# repro.sim.engine_fast).  EIB arbitration is not copied here: the movers
+# call Eib._grant / Eib._release on the bus's one arbitration state and
+# queue on its one waiter deque, exactly like Eib.transfer.  What differs
+# by engine is only the driving: the reference driver emits trace records
+# and fault penalties; the movers merge uncontended chunk trains into one
+# heap slot.  The machines never see fences, barriers, faults, tracing or
+# the sanitizer: the fast kernels issue none of the former, and
+# resolve_engine falls back to the reference engine when any observer is
+# attached.
 
 
 class _FastMover(FastActor):
@@ -626,11 +608,10 @@ class _FastMover(FastActor):
     Mfc._move (small-transfer penalty, memory-path pacing, bank service)
     fused with Eib.transfer's chunk/arbitrate/hold loop.
 
-    The EIB leg runs off two per-path memos (`Eib.fast_path_choices`,
-    `Eib.fast_chunks`) that tabulate exactly what `_try_grant` and the
-    chunk loop would compute, and inlines commit/release (ring occupancy,
-    port flags, ring monitor) without the trace branches — the grant
-    *decisions* and their order are byte-identical to the reference."""
+    The EIB leg walks the bus's leg record (`Eib.leg`) and takes every
+    grant through `Eib._grant` / `Eib._release`, the functions
+    `Eib.transfer` calls — only the heap-slot handling (the whole-leg
+    merge) is the mover's own."""
 
     __slots__ = (
         "mfc",
@@ -652,12 +633,6 @@ class _FastMover(FastActor):
         "_eib_dst",
         "_eib_after",
         "_eib_leg",
-        "_eib_plan",
-        "_eib_choices",
-        "_eib_srcbit",
-        "_eib_dstbit",
-        "_eib_nsrc",
-        "_eib_ndst",
         "_eib_i",
         "_eib_ri",
         "_eib_notmask",
@@ -778,113 +753,74 @@ class _FastMover(FastActor):
         self._eib_src = src
         self._eib_dst = dst
         self._eib_after = after
-        eib = self._eib
-        key = (src, dst, self.nbytes)
-        leg = eib._fast_leg_memo.get(key)
-        if leg is None:
-            leg = eib.fast_leg(src, dst, self.nbytes)
-        self._eib_leg = leg
-        (
-            self._eib_choices,
-            self._eib_srcbit,
-            self._eib_nsrc,
-            self._eib_dstbit,
-            self._eib_ndst,
-            self._eib_plan,
-            _memory_side,
-        ) = leg
+        self._eib_leg = self._eib.leg(src, dst, self.nbytes)
         self._eib_i = 0
         self._eib_chunk()
 
     def _eib_chunk(self) -> None:
         eib = self._eib
         eib.grants += 1
-        srcbit = self._eib_srcbit
-        dstbit = self._eib_dstbit
-        # Eib._try_grant over the bitmask twin: port probe is one AND
-        # per side, ring probe one AND per candidate.
-        if not (eib._fast_out & srcbit | eib._fast_in & dstbit):
-            occ = eib._fast_occ
-            nact = eib._fast_nact
-            maxt = eib._fast_max
-            for ri, mask, notmask, latency in self._eib_choices:
-                if nact[ri] < maxt and not occ[ri] & mask:
-                    # Eib._commit, minus trace and occupancy monitors
-                    # (a reference-engine observability feature).
-                    occ[ri] |= mask
-                    nact[ri] += 1
-                    eib._fast_out |= srcbit
-                    eib._fast_in |= dstbit
-                    self._eib_ri = ri
-                    self._eib_notmask = notmask
-                    # Hold the path for hop latency + chunk cycles (the
-                    # chunk cycles include the fixed arbitration cost).
-                    plan = self._eib_plan
-                    i = self._eib_i
-                    hold = latency + plan[i]
-                    env = self.env
-                    queue = env._queue
-                    n = len(plan)
-                    if i + 1 < n and not eib._waiters:
-                        # Whole-leg merge: when no flow is queued and no
-                        # event fires strictly before this leg's last
-                        # chunk would end, the reference's remaining
-                        # boundary pops are pure release/regrant
-                        # round-trips — no contender can arrive (every
-                        # arrival needs a pop, and the next pop is at or
-                        # after the merged end), the ring states other
-                        # than ours are untouched, so each regrant picks
-                        # this same ring and pays this same latency.
-                        # Ties at the merged end still pop before our
-                        # hold-end event in both engines (smaller
-                        # sequence numbers).  Only the grant counter
-                        # needs the skipped chunks added back.
-                        total = hold
-                        for j in range(i + 1, n):
-                            total += latency + plan[j]
-                        if not queue or queue[0][0] >= env.now + total:
-                            eib.grants += n - i - 1
-                            self._eib_i = n - 1
-                            self._run_callbacks = self._eib_chunk_done
-                            env._sequence = sequence = env._sequence + 1
-                            heappush(
-                                queue, (env.now + total, sequence, self)
-                            )
-                            return
-                    self._run_callbacks = self._eib_chunk_done
-                    env._sequence = sequence = env._sequence + 1
-                    heappush(queue, (env.now + hold, sequence, self))
-                    return
-        eib.conflicts += 1
-        eib._waiters.append((self, self._eib_src, self._eib_dst, self._eib_leg))
-        self._eib_wait_started = self.env.now
-        self._park(self._eib_granted)
+        leg = self._eib_leg
+        choice = eib._grant(leg)
+        if choice is None:
+            eib.conflicts += 1
+            eib._waiters.append((self, self._eib_src, self._eib_dst, leg))
+            self._eib_wait_started = self.env.now
+            self._park(self._eib_granted)
+            return
+        ri, _mask, notmask, latency = choice
+        self._eib_ri = ri
+        self._eib_notmask = notmask
+        # Hold the path for hop latency + chunk cycles (the chunk cycles
+        # include the fixed arbitration cost).
+        holds = leg[5]
+        i = self._eib_i
+        hold = latency + holds[i]
+        env = self.env
+        queue = env._queue
+        n = len(holds)
+        if i + 1 < n and not eib._waiters:
+            # Whole-leg merge: when no flow is queued and no event fires
+            # strictly before this leg's last chunk would end, the
+            # reference's remaining boundary pops are pure
+            # release/regrant round-trips — no contender can arrive
+            # (every arrival needs a pop, and the next pop is at or after
+            # the merged end), the ring states other than ours are
+            # untouched, so each regrant picks this same ring and pays
+            # this same latency.  Ties at the merged end still pop before
+            # our hold-end event in both engines (smaller sequence
+            # numbers).  Only the grant counter needs the skipped chunks
+            # added back.
+            total = hold
+            for j in range(i + 1, n):
+                total += latency + holds[j]
+            if not queue or queue[0][0] >= env.now + total:
+                eib.grants += n - i - 1
+                self._eib_i = n - 1
+                self._run_callbacks = self._eib_chunk_done
+                env._sequence = sequence = env._sequence + 1
+                heappush(queue, (env.now + total, sequence, self))
+                return
+        self._run_callbacks = self._eib_chunk_done
+        env._sequence = sequence = env._sequence + 1
+        heappush(queue, (env.now + hold, sequence, self))
 
     def _eib_granted(self) -> None:
-        # Committed for us by Eib._drain_waiters_fast; unpack the grant.
-        eib = self._eib
-        env = self.env
-        eib.wait_cycles += env.now - self._eib_wait_started
+        # Committed for us by Eib._drain; unpack the grant.
+        self._eib.wait_cycles += self.env.now - self._eib_wait_started
         ri, notmask, latency, penalty = self._value
         self._eib_ri = ri
         self._eib_notmask = notmask
         self._after(
-            penalty + latency + self._eib_plan[self._eib_i],
+            penalty + latency + self._eib_leg[5][self._eib_i],
             self._eib_chunk_done,
         )
 
     def _eib_chunk_done(self) -> None:
         eib = self._eib
-        # Eib._release, minus trace and monitors, over the bitmask twin.
-        ri = self._eib_ri
-        eib._fast_occ[ri] &= self._eib_notmask
-        eib._fast_nact[ri] -= 1
-        eib._fast_out &= self._eib_nsrc
-        eib._fast_in &= self._eib_ndst
-        if eib._waiters:
-            eib._drain_waiters_fast()
+        eib._release(self._eib_leg, self._eib_ri, self._eib_notmask)
         i = self._eib_i + 1
-        if i < len(self._eib_plan):
+        if i < len(self._eib_leg[5]):
             self._eib_i = i
             self._eib_chunk()
         else:

@@ -28,11 +28,15 @@ oracle, gated by ``tests/test_engine_fast.py``):
   a periodic steady state at a kernel anchor and warps whole periods
   in O(1) — heap times shift uniformly, counters advance linearly,
   placement accumulators are replayed bit-exactly;
-* model *decisions* (bank scheduling, EIB arbitration, pacing) run the
-  reference code itself — the fast paths call ``Eib._try_grant`` /
-  ``_commit`` / ``_release``, ``MemoryBank._pick`` / ``_plan_service``
-  and ``Mfc._finish`` directly, so there is no second copy of the
-  timing model to drift;
+* model *decisions* have one implementation: EIB arbitration is one
+  state (ring span masks and counts, port masks, one waiter deque)
+  behind ``Eib._grant`` / ``_release`` / ``_drain`` / ``_contending``,
+  called by the reference ``Eib.transfer`` generator and the fast
+  movers alike — only trace emission, fault penalties and the
+  whole-leg merge differ by engine; command completion goes through
+  ``Mfc._finish`` (inlined line for line on the slot hand-off path),
+  and the bank's fast path inlines ``MemoryBank._pick`` line for
+  line and memoises ``_plan_service``;
 * the fast engine only drives **unobserved** runs: trace, faults,
   sanitizer and watchdog-style observation need per-event resolution,
   so :func:`resolve_engine` silently falls back to the reference engine

@@ -45,8 +45,8 @@ and the counter deltas ``D`` of that period are known.  Advancing by
 shifts ``now`` and every heap entry uniformly (pairwise comparisons and
 the pop order are invariant), counters advance by ``N * D``, absolute
 time stamps carried by model state (the MFC memory-path pacer, EIB
-wait-start stamps) shift with the clock, and the accumulators are
-rolled forward with verification as above.
+wait-start and ring busy-start stamps) shift with the clock, and the
+accumulators are rolled forward with verification as above.
 
 Conservative bail-out
 ---------------------
@@ -348,10 +348,10 @@ class FastForward:
         )
         eib = self.eib
         eib_state = (
-            tuple(eib._fast_occ),
-            tuple(eib._fast_nact),
-            eib._fast_out,
-            eib._fast_in,
+            tuple(eib._occ),
+            tuple(eib._nact),
+            eib._out_ports,
+            eib._in_ports,
             tuple(
                 (self._describe(actor), src, dst)
                 for actor, src, dst, _leg in eib._waiters
@@ -420,6 +420,17 @@ class FastForward:
             )
         eib = self.eib
         vals += (eib.grants, eib.conflicts, eib.wait_cycles, eib.bytes_moved)
+        # Ring busy time including the open stretch: it advances by a
+        # fixed delta per period whatever the stretch's age, so the age
+        # stays out of the fingerprint (a ring busy across every anchor
+        # would otherwise never recur).
+        now = self.env.now
+        vals += (
+            busy + (now - since if active else 0)
+            for busy, since, active in zip(
+                eib._busy_cycles, eib._busy_since, eib._nact
+            )
+        )
         for bank in self.banks:
             vals += (bank.bytes_served, bank.commands_served)
         calls = self.memory._placement_calls
@@ -446,12 +457,29 @@ class FastForward:
         eib.conflicts = next(it)
         eib.wait_cycles = next(it)
         eib.bytes_moved = next(it)
+        # Back from busy time to closed stretches: the open stretch's
+        # start was shifted with the clock, so its age is unchanged.
+        now = self.env.now
+        eib._busy_cycles = [
+            next(it) - (now - since if active else 0)
+            for since, active in zip(eib._busy_since, eib._nact)
+        ]
         for bank in self.banks:
             bank.bytes_served = next(it)
             bank.commands_served = next(it)
         calls = self.memory._placement_calls
         for r in self._requesters:
             calls[r] = next(it)
+
+    def _placement_base(self) -> int:
+        """Index of the first placement call count in :meth:`_counters`."""
+        return (
+            2 * len(self.kernels)
+            + 8 * len(self.mfcs)
+            + 4
+            + len(self.eib._busy_cycles)
+            + 2 * len(self.banks)
+        )
 
     # -- margins ---------------------------------------------------------------
 
@@ -510,10 +538,7 @@ class FastForward:
         ``n`` periods.  Returns (periods provably identical, the rolled
         accumulator values at that horizon)."""
         fraction = self.memory._placement_fraction
-        base = (
-            2 * len(self.kernels) + 8 * len(self.mfcs) + 4 + 2 * len(self.banks)
-        )
-        steps = deltas[base:]
+        steps = deltas[self._placement_base():]
         # The observed period's decision pattern per requester, replayed
         # from the previous snapshot; landing exactly on the current
         # value cross-checks the per-requester call counting.
@@ -561,7 +586,11 @@ class FastForward:
         for mfc in self.mfcs:
             if mfc._memory_path_free_at > before:
                 mfc._memory_path_free_at += shift
-        for actor, _src, _dst, _leg in self.eib._waiters:
+        eib = self.eib
+        for ri, active in enumerate(eib._nact):
+            if active:
+                eib._busy_since[ri] += shift
+        for actor, _src, _dst, _leg in eib._waiters:
             actor._eib_wait_started += shift
         for _time, _seq, item in env._queue:
             cont = getattr(item, "_run_callbacks", None)
@@ -571,10 +600,9 @@ class FastForward:
             tuple(c + n * d for c, d in zip(counters, deltas))
         )
         accs = self.memory._placement_accumulator
-        base = (
-            2 * len(self.kernels) + 8 * len(self.mfcs) + 4 + 2 * len(self.banks)
-        )
-        for r, value, k in zip(self._requesters, rolled, deltas[base:]):
+        for r, value, k in zip(
+            self._requesters, rolled, deltas[self._placement_base():]
+        ):
             if k:
                 accs[r] = value
         self.windows_warped += 1

@@ -323,10 +323,6 @@ class TraceSummary:
     def __init__(self, records: Iterable):
         self.records = list(records)
 
-    @classmethod
-    def from_recorder(cls, recorder: TraceRecorder) -> TraceSummary:
-        return cls(recorder.records)
-
     def _of(self, record_type) -> list:
         return [r for r in self.records if isinstance(r, record_type)]
 
