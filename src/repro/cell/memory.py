@@ -193,22 +193,23 @@ class MemoryBank:
             # below would pick it and break on its first iteration.
             pending.popleft()
         else:
-            window = min(len(pending), self._sched_window)
+            # _pick's scan with its score (2 for the same requester, 1
+            # for the same direction) branched out: the first score-0
+            # candidate ends it.
             best_index = 0
             best_score = 4
             index = 0
-            for candidate in pending:
-                if index == window:
-                    break
-                score = 0
+            for candidate in islice(pending, self._sched_window):
                 if candidate.requester == prev_requester:
-                    score += 2
-                if candidate.direction == prev_direction:
-                    score += 1
+                    score = 3 if candidate.direction == prev_direction else 2
+                elif candidate.direction == prev_direction:
+                    score = 1
+                else:
+                    best_index = index
+                    break
                 if score < best_score:
-                    best_index, best_score = index, score
-                    if score == 0:
-                        break
+                    best_index = index
+                    best_score = score
                 index += 1
             request = pending[best_index]
             del pending[best_index]
@@ -231,13 +232,11 @@ class MemoryBank:
             counts[requester] = 1
             self._recent_distinct += 1
         # _plan_fast decision + memo lookup, inlined.
-        prev = self._prev_requester
-        prev_dir = self._prev_direction
-        duplex = bool(prev_dir) and request.direction != prev_dir
-        if requester == prev:
+        duplex = bool(prev_direction) and request.direction != prev_direction
+        if requester == prev_requester:
             kind = 1
             spread = 0
-        elif prev is not None:
+        elif prev_requester is not None:
             kind = 2
             spread = self._recent_distinct
         else:

@@ -63,6 +63,19 @@ fence/barrier waiters, outstanding tags outside the streaming pair —
 disables fast-forward for the run, as does exhausting the capture
 budget without finding a recurrence (the regime is aperiodic or the
 transient too long; the run completes normally, just without warps).
+
+Capture cost
+------------
+
+A full fingerprint describes every actor in flight, so each anchor
+first takes a *coarse key* — heap times relative to ``now``, the EIB
+arbitration state and the bank queue lengths, a projection of the
+fingerprint.  Equal fingerprints have equal coarse keys, so an anchor
+whose coarse key is new cannot be a recurrence and skips the full
+capture.  The price is one period: the first full capture of a
+periodic regime happens at its first coarse recurrence, and the warp
+at the next one.  An aperiodic run (the 8-SPE DMA storm) never repeats
+a coarse key and pays no full capture at all.
 """
 
 from __future__ import annotations
@@ -73,8 +86,9 @@ from typing import Any
 #: transient never recurs, so fingerprinting it is pure cost.
 WARMUP_ANCHORS = 8
 
-#: Fewest consecutive fingerprint *misses* allowed before fast-forward
-#: gives up, regardless of state size.  A hit resets the counter.
+#: Fewest consecutive *misses* (coarse or full) allowed before
+#: fast-forward gives up, regardless of state size.  A hit resets the
+#: counter.
 CAPTURE_MIN = 12
 
 #: Total capture-work allowance: the per-run miss budget is
@@ -82,23 +96,9 @@ CAPTURE_MIN = 12
 #: the whole structural state, so its cost scales with the kernel
 #: count; dividing a fixed work allowance keeps the tax an aperiodic
 #: run ever pays roughly constant — the 8-SPE DMA storm gives up after
-#: 12 expensive captures, while a single-kernel stream (whose regime
-#: settles only after the bank round-robin cycle, ~60 anchors in)
-#: affords 96 cheap ones.
+#: 12 misses, while a single-kernel stream (whose regime settles only
+#: after the bank round-robin cycle, ~60 anchors in) affords 96.
 CAPTURE_TOTAL = 96
-
-#: The actor type names the fingerprint knows how to describe.  Name
-#: dispatch (not isinstance) keeps this module free of imports from
-#: repro.cell / repro.core and therefore cycle-free.
-_KNOWN_TYPES = frozenset(
-    (
-        "FastStreamKernel",
-        "FastDmaCommand",
-        "FastDmaList",
-        "_FastListBurst",
-        "MemoryBank",
-    )
-)
 
 
 class FastForwardDisabled(Exception):
@@ -127,6 +127,7 @@ class FastForward:
         self._budget = CAPTURE_MIN
         # fingerprint -> (now, counters, events_popped, acc snapshot)
         self._entries: dict[Any, tuple[int, tuple, int, tuple]] = {}
+        self._coarse_seen: set[tuple] = set()
         self._wired = False
         self.kernels: list[Any] = []
         self.mfcs: list[Any] = []
@@ -134,6 +135,16 @@ class FastForward:
         self.eib: Any = None
         self.memory: Any = None
         self._requesters: list[str] = []
+        # The actor types the fingerprint knows how to describe.  Name
+        # dispatch (not isinstance) keeps this module free of imports
+        # from repro.cell / repro.core and therefore cycle-free.
+        self._describers = {
+            "FastStreamKernel": self._describe_kernel,
+            "FastDmaCommand": self._describe_command,
+            "FastDmaList": self._describe_list,
+            "_FastListBurst": self._describe_burst,
+            "MemoryBank": self._describe_bank,
+        }
 
     # -- wiring ----------------------------------------------------------------
 
@@ -162,6 +173,15 @@ class FastForward:
         self.enabled = False
         self.env._ff_on = False
 
+    def _miss(self) -> None:
+        """Count an anchor without a recurrence.  Past the budget there
+        is none within the detectable horizon — the regime is aperiodic
+        (or its period exceeds the budget) — so stop paying the capture
+        tax."""
+        self._dry += 1
+        if self._dry >= self._budget:
+            self._disable()
+
     def attempt(self) -> None:
         """Capture a fingerprint at an anchor; warp when it recurs."""
         if not self.enabled:
@@ -173,22 +193,24 @@ class FastForward:
         try:
             if not self._wired:
                 self._wire()
+            # A full capture only where the coarse key has been seen
+            # before: equal fingerprints have equal coarse keys, so the
+            # first sighting of a coarse key cannot be a recurrence.
+            coarse = self._coarse()
+            if coarse not in self._coarse_seen:
+                self._coarse_seen.add(coarse)
+                self._miss()
+                return
             fingerprint = self._fingerprint()
             env = self.env
             counters = self._counters()
             accs = self._acc_snapshot()
-            entry = self._entries.get(fingerprint)
-            if entry is None:
-                self._dry += 1
-                if self._dry >= self._budget:
-                    # No recurrence within the detectable horizon: the
-                    # regime is aperiodic (or its period exceeds the
-                    # budget); stop paying the capture tax.
-                    self._disable()
-                    return
-                self._entries[fingerprint] = (
-                    env.now, counters, env.events_popped, accs
-                )
+            # One lookup that also stores a miss: hashing the fingerprint
+            # is a sizeable share of a full capture.
+            fresh = (env.now, counters, env.events_popped, accs)
+            entry = self._entries.setdefault(fingerprint, fresh)
+            if entry is fresh:
+                self._miss()
                 return
             self._dry = 0
             prev_now, prev_counters, prev_popped, prev_accs = entry
@@ -231,95 +253,106 @@ class FastForward:
         """Behavioural descriptor of one actor/model object: every field
         its future transitions read, with absolute times made relative.
         Raises FastForwardDisabled on anything unknown."""
-        name = type(obj).__name__
-        if name not in _KNOWN_TYPES:
-            raise FastForwardDisabled(f"unknown heap item {name}")
-        now = self.env.now
-        cont = getattr(obj, "_run_callbacks", None)
-        cont_name = getattr(cont, "__name__", None)
-        value = getattr(obj, "_value", None)
+        describe = self._describers.get(type(obj).__name__)
+        if describe is None:
+            raise FastForwardDisabled(f"unknown heap item {type(obj).__name__}")
+        return describe(obj)
+
+    @staticmethod
+    def _checked_value(obj: Any) -> Any:
+        value = obj._value
         if value is not None and not isinstance(value, (int, tuple)):
             raise FastForwardDisabled(f"non-integral actor value {value!r}")
-        if name == "FastStreamKernel":
-            after_issue = getattr(obj, "_after_issue", None)
-            after_sync = getattr(obj, "_after_sync", None)
-            # _since_sync is behavioural only under a sync cadence
-            # (kernels branch on it solely when _sync_every is set);
-            # on a sync-free kernel it grows monotonically and would
-            # block every recurrence, so there it is a plain counter
-            # (advanced linearly by the warp, never fingerprinted).
-            since_sync = (
-                getattr(obj, "_since_sync", None)
-                if getattr(obj, "_sync_every", None) is not None
-                else None
-            )
-            return (
-                "K",
-                obj.spe.node,
-                cont_name,
-                obj.finished,
-                getattr(obj, "_pend_tag", None),
-                since_sync,
-                getattr(obj, "_chunk", None),
-                getattr(obj, "_warm_i", None),
-                getattr(after_issue, "__name__", None),
-                getattr(after_sync, "__name__", None),
-                value,
-            )
-        if name == "FastDmaCommand":
-            return (
-                "C",
-                obj.mfc.node,
-                cont_name,
-                obj.tag,
-                getattr(obj, "_mv_direction", None),
-                getattr(obj, "_mv_target", None),
-                getattr(obj, "_mv_remote", None),
-                obj.nbytes,
-                getattr(obj, "direction", None),
-                getattr(getattr(obj, "_mv_bank", None), "name", None),
-                self._eib_fields(obj, cont_name, now),
-                value,
-            )
-        if name == "_FastListBurst":
-            dma_list = obj.dma_list
-            return (
-                "B",
-                obj.mfc.node,
-                cont_name,
-                obj.nbytes,
-                getattr(obj, "_mv_direction", None),
-                getattr(obj, "_mv_target", None),
-                getattr(obj, "_mv_remote", None),
-                getattr(obj, "direction", None),
-                getattr(getattr(obj, "_mv_bank", None), "name", None),
-                self._eib_fields(obj, cont_name, now),
-                self._describe(dma_list),
-                value,
-            )
-        if name == "FastDmaList":
-            return (
-                "L",
-                obj.mfc.node,
-                cont_name,
-                obj.tag,
-                obj.direction,
-                obj.target,
-                obj.remote_node,
-                obj._burst_i,
-                getattr(obj, "_cur_nbytes", None),
-                obj._outstanding_bursts,
-                obj._inflight,
-                obj._token_waiting,
-                obj._all_issued,
-                value,
-            )
-        # MemoryBank: the request being served and the queue are
-        # captured in the bank section; the heap entry only carries
-        # which continuation fires.
-        return ("BK", obj.name, cont_name)
+        return value
 
-    def _eib_fields(self, obj: Any, cont_name: str | None, now: int) -> tuple:
+    def _describe_kernel(self, obj: Any) -> tuple:
+        # _since_sync is behavioural only under a sync cadence (kernels
+        # branch on it solely when _sync_every is set); on a sync-free
+        # kernel it grows monotonically and would block every
+        # recurrence, so there it is a plain counter (advanced linearly
+        # by the warp, never fingerprinted).
+        after_issue = getattr(obj, "_after_issue", None)
+        after_sync = getattr(obj, "_after_sync", None)
+        return (
+            "K",
+            obj.spe.node,
+            obj._run_callbacks.__name__,
+            obj.finished,
+            getattr(obj, "_pend_tag", None),
+            None if obj._sync_every is None else getattr(obj, "_since_sync", None),
+            getattr(obj, "_chunk", None),
+            getattr(obj, "_warm_i", None),
+            None if after_issue is None else after_issue.__name__,
+            None if after_sync is None else after_sync.__name__,
+            self._checked_value(obj),
+        )
+
+    def _describe_command(self, obj: Any) -> tuple:
+        # Enum members are keyed by name: their hash is a Python-level
+        # call, and the fingerprint is hashed on every full capture.
+        cont_name = obj._run_callbacks.__name__
+        bank = getattr(obj, "_mv_bank", None)
+        return (
+            "C",
+            obj.mfc.node,
+            cont_name,
+            obj.tag,
+            obj._mv_direction._name_,
+            obj._mv_target._name_,
+            obj._mv_remote,
+            obj.nbytes,
+            getattr(obj, "direction", None),
+            None if bank is None else bank.name,
+            self._eib_fields(obj, cont_name),
+            self._checked_value(obj),
+        )
+
+    def _describe_burst(self, obj: Any) -> tuple:
+        cont_name = obj._run_callbacks.__name__
+        direction = getattr(obj, "_mv_direction", None)
+        target = getattr(obj, "_mv_target", None)
+        bank = getattr(obj, "_mv_bank", None)
+        return (
+            "B",
+            obj.mfc.node,
+            cont_name,
+            obj.nbytes,
+            None if direction is None else direction._name_,
+            None if target is None else target._name_,
+            getattr(obj, "_mv_remote", None),
+            getattr(obj, "direction", None),
+            None if bank is None else bank.name,
+            self._eib_fields(obj, cont_name),
+            self._describe_list(obj.dma_list),
+            self._checked_value(obj),
+        )
+
+    def _describe_list(self, obj: Any) -> tuple:
+        return (
+            "L",
+            obj.mfc.node,
+            obj._run_callbacks.__name__,
+            obj.tag,
+            obj.direction._name_,
+            obj.target._name_,
+            obj.remote_node,
+            obj._burst_i,
+            getattr(obj, "_cur_nbytes", None),
+            obj._outstanding_bursts,
+            obj._inflight,
+            obj._token_waiting,
+            obj._all_issued,
+            self._checked_value(obj),
+        )
+
+    @staticmethod
+    def _describe_bank(obj: Any) -> tuple:
+        # The request being served and the queue are captured in the
+        # bank section; the heap entry only carries which continuation
+        # fires.
+        return ("BK", obj.name, obj._run_callbacks.__name__)
+
+    def _eib_fields(self, obj: Any, cont_name: str) -> tuple:
         """The EIB-leg sub-state of a mover: src/dst/size pin the leg
         memo, the chunk index and chosen ring pin the position in it,
         and a waiter's age is made relative (its wait_cycles accrual
@@ -329,22 +362,40 @@ class FastForward:
             return ()
         age = None
         if cont_name == "_eib_granted":
-            age = now - obj._eib_wait_started
+            age = self.env.now - obj._eib_wait_started
         return (
             src,
             obj._eib_dst,
-            getattr(getattr(obj, "_eib_after", None), "__name__", None),
+            obj._eib_after.__name__,
             getattr(obj, "_eib_i", None),
             getattr(obj, "_eib_ri", None),
             age,
         )
 
+    def _coarse(self) -> tuple:
+        """A cheap projection of :meth:`_fingerprint`: heap times
+        relative to now, the EIB arbitration state and the bank queue
+        lengths."""
+        now = self.env.now
+        eib = self.eib
+        return (
+            tuple(sorted([time - now for time, _seq, _item in self.env._queue])),
+            tuple(eib._occ),
+            tuple(eib._nact),
+            eib._out_ports,
+            eib._in_ports,
+            len(eib._waiters),
+            tuple([len(bank._pending) for bank in self.banks]),
+        )
+
     def _fingerprint(self) -> tuple:
         env = self.env
         now = env.now
+        describe = self._describe
         heap = tuple(
-            (time - now, self._describe(item))
-            for time, _seq, item in sorted(env._queue, key=lambda e: e[:2])
+            (time - now, describe(item))
+            # Sequence numbers are unique, so the sort never compares items.
+            for time, _seq, item in sorted(env._queue)
         )
         eib = self.eib
         eib_state = (
@@ -367,7 +418,7 @@ class FastForward:
                 None
                 if bank._fast_current is None
                 else self._describe(bank._fast_current),
-                tuple(self._describe(r) for r in bank._pending),
+                tuple(map(describe, bank._pending)),
             )
             for bank in self.banks
         )
@@ -384,7 +435,7 @@ class FastForward:
                 (
                     mfc.node,
                     slots.count,
-                    tuple(self._describe(w) for w in slots.queue),
+                    tuple(map(describe, slots.queue)),
                     outstanding[0],
                     outstanding[1],
                     max(mfc._memory_path_free_at - now, 0),
@@ -394,7 +445,7 @@ class FastForward:
                     ),
                 )
             )
-        kernels = tuple(self._describe(k) for k in self.kernels)
+        kernels = tuple(map(describe, self.kernels))
         return (heap, eib_state, banks, tuple(mfc_states), kernels)
 
     # -- counters --------------------------------------------------------------

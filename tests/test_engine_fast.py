@@ -7,6 +7,9 @@ schedule minus provably-inert slots.  The reference engine is the
 oracle; every mismatch here is a fast-engine bug by definition.
 """
 
+import runpy
+from pathlib import Path
+
 import pytest
 
 from repro.cell.chip import CellChip
@@ -180,21 +183,11 @@ class TestExecutorEngine:
         assert got == expected
 
 
-def get_put_program(spu, partner, out, element_bytes=16384, n_elements=32):
-    """The README quickstart's SPU program: GET+PUT against a partner's
-    local store, synchronised once at the end."""
-    half = spu.spe.local_store.size // 2
-    nbuf = max(1, half // element_bytes)
-    start = spu.read_decrementer()
-    for i in range(n_elements):
-        get_offset = (i % nbuf) * element_bytes
-        yield from spu.mfc_get(size=element_bytes, tag=0, remote_spe=partner,
-                               local_offset=get_offset, remote_offset=get_offset)
-        yield from spu.mfc_put(size=element_bytes, tag=1, remote_spe=partner,
-                               local_offset=half + get_offset,
-                               remote_offset=half + get_offset)
-    yield from spu.wait_tags([0, 1])
-    out["cycles"] = spu.read_decrementer() - start
+#: The quickstart's SPU program (GET+PUT against a partner's local
+#: store, synchronised once at the end), loaded from the example itself.
+QUICKSTART_PROGRAM = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "examples" / "quickstart.py")
+)["spu_main"]
 
 
 class TestMixedTraffic:
@@ -206,7 +199,8 @@ class TestMixedTraffic:
     def run(self, engine, seed):
         chip = CellChip(mapping=SpeMapping.random(seed, 8), engine=engine)
         program, stream = {}, {}
-        SpeContext(chip, 0).load(get_put_program, chip.spe(1), program)
+        SpeContext(chip, 0).load(QUICKSTART_PROGRAM, chip.spe(1), program,
+                                 n_elements=32)
         if engine == "fast":
             FastStreamKernel(chip.env, chip.spe(2), self.STREAM, stream,
                              partner=chip.spe(1))
