@@ -281,9 +281,18 @@ class Eib:
         waiters = self._waiters
         grant = self._grant
         granted: list[tuple] | None = None
+        # _grant's port probe, hoisted: most queued requests wait on a
+        # busy ramp, and the probe is cheaper than the call.
+        out_ports = self._out_ports
+        in_ports = self._in_ports
         for waiter in waiters:
-            choice = grant(waiter[3])
+            leg = waiter[3]
+            if out_ports & leg[1] or in_ports & leg[3]:
+                continue
+            choice = grant(leg)
             if choice is not None:
+                out_ports = self._out_ports
+                in_ports = self._in_ports
                 if granted is None:
                     granted = []
                 granted.append((waiter, choice))

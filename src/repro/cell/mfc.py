@@ -44,6 +44,12 @@ from repro.sim.core import Completion
 from repro.sim.engine_fast import FastActor
 from repro.sim.trace import MfcComplete, MfcEnqueue, MfcIssue
 
+# Enum members bound once: reading a member off its Enum class is a
+# Python-level lookup (~100 ns on CPython 3.11), paid per command on the
+# movement paths below.
+GET = DmaDirection.GET
+MAIN_MEMORY = TargetKind.MAIN_MEMORY
+
 
 class _FastSlots:
     """MFC queue-slot accounting for the coalescing engine.
@@ -75,7 +81,7 @@ class _FastSlots:
 
     def release(self, request=None) -> None:
         """Free a slot, handing it straight to the oldest waiter —
-        signature-compatible with Resource.release for Mfc._finish."""
+        signature-compatible with Resource.release."""
         if self.queue:
             self.queue.popleft().succeed()
         else:
@@ -102,8 +108,11 @@ class Mfc:
         self._total_enqueued = 0
         self._total_completed = 0
         self._order_waiters: list[tuple[Event, int | None, int]] = []
-        # Next cycle at which the memory path can dispatch another byte.
+        # Next cycle at which the memory path can dispatch another byte,
+        # and the path occupancy per transfer size.
         self._memory_path_free_at = 0
+        self._memory_path_rate = self.config.mfc.memory_path_bytes_per_cpu_cycle
+        self._memory_path_cycles: dict[int, int] = {}
         self.commands_completed = 0
         self.bytes_transferred = 0
         # Monotonic command id for the trace stream (deterministic).
@@ -135,13 +144,10 @@ class Mfc:
             self._fast_completion = self.config.mfc.completion_cycles
             self._fast_elem_cycles = self.config.mfc.list_element_cycles
             self._fast_small_penalty = self.config.mfc.small_transfer_penalty_cycles
-            self._fast_mem_rate = self.config.mfc.memory_path_bytes_per_cpu_cycle
             self._fast_inflight_limit = self.config.mfc.list_inflight_limit
-            # Direct bus/memory handles (built before the SPEs) and the
-            # memoised memory-path occupancy per transfer size.
+            # Direct bus/memory handles (built before the SPEs).
             self._fast_eib = chip.eib
             self._fast_memory = chip.memory
-            self._fast_mem_cycles: dict[int, int] = {}
             # Retired FastDmaCommand shells for reuse: a finished
             # command is fully dead (no heap entry, no waiter list holds
             # it), so the next issue restarts it instead of allocating.
@@ -282,8 +288,8 @@ class Mfc:
     #
     # The fast twins of enqueue/tag_group_quiet.  The waiter is always a
     # FastActor; model decisions and bookkeeping go through the same
-    # methods the reference path uses (_register_enqueue, _finish, the
-    # tag-waiter lists), so the two engines share one timing model.
+    # methods the reference path uses (_register_enqueue, _pace, _retire,
+    # the tag-waiter lists), so the two engines share one timing model.
 
     def fast_claim_slot(self, waiter: Completion) -> bool:
         """Claim a queue slot now (True) or join the slot queue (False);
@@ -295,7 +301,7 @@ class Mfc:
 
     def fast_tags_quiet(self, tags: Iterable[int], waiter: Completion) -> bool:
         """True when every listed tag group is already empty, else park
-        the waiter on the shared tag-waiter list (woken by _finish)."""
+        the waiter on the shared tag-waiter list (woken by _retire)."""
         tags = tuple(tags)
         for tag in tags:
             if tag not in self._outstanding:
@@ -369,7 +375,8 @@ class Mfc:
             nbytes=command.size,
         )
         yield self.env.timeout(self.config.mfc.completion_cycles)
-        self._finish(command, slot, slots)
+        slots.release(slot)
+        self._retire(command)
         if self._tracing:
             self._trace.emit(
                 MfcComplete(
@@ -423,7 +430,8 @@ class Mfc:
         if pending:
             yield AllOf(self.env, pending)
         yield self.env.timeout(self.config.mfc.completion_cycles)
-        self._finish(dma_list, slot, self._slots)
+        self._slots.release(slot)
+        self._retire(dma_list)
         if self._tracing:
             self._trace.emit(
                 MfcComplete(
@@ -485,10 +493,12 @@ class Mfc:
         """The data movement common to commands and list elements."""
         if nbytes < EFFICIENT_MIN_BYTES:
             yield self.env.timeout(self.config.mfc.small_transfer_penalty_cycles)
-        if target is TargetKind.MAIN_MEMORY:
-            yield from self._pace_memory_path(nbytes)
+        if target is MAIN_MEMORY:
+            start = self._pace(nbytes)
+            if start > self.env.now:
+                yield self.env.timeout(start - self.env.now)
             bank = self.chip.memory.assign_bank(self.node)
-            if direction is DmaDirection.GET:
+            if direction is GET:
                 yield self.chip.memory.read(self.node, nbytes, bank)
                 yield from self.chip.eib.transfer(bank.node, self.node, nbytes)
             else:
@@ -497,74 +507,73 @@ class Mfc:
         else:
             if remote_node == self.node:
                 raise CellError("LS-to-LS DMA with itself")
-            if direction is DmaDirection.GET:
+            if direction is GET:
                 yield from self.chip.eib.transfer(remote_node, self.node, nbytes)
             else:
                 yield from self.chip.eib.transfer(self.node, remote_node, nbytes)
         self.bytes_transferred += nbytes
 
-    def _pace_memory_path(self, nbytes: int):
+    def _pace(self, nbytes: int) -> int:
         """Outstanding-transaction window to main memory, expressed as a
         dispatch pacer: a single MFC cannot push more than ~10 GB/s of
-        GET+PUT traffic at memory no matter how many commands it queues."""
-        rate = self.config.mfc.memory_path_bytes_per_cpu_cycle
-        start = max(self.env.now, self._memory_path_free_at)
-        self._memory_path_free_at = start + math.ceil(nbytes / rate)
-        if start > self.env.now:
-            yield self.env.timeout(start - self.env.now)
+        GET+PUT traffic at memory no matter how many commands it queues.
+        Books the command's path occupancy and returns the cycle at
+        which it may dispatch."""
+        cycles = self._memory_path_cycles.get(nbytes)
+        if cycles is None:
+            cycles = math.ceil(nbytes / self._memory_path_rate)
+            self._memory_path_cycles[nbytes] = cycles
+        start = self._memory_path_free_at
+        now = self.env.now
+        if start < now:
+            start = now
+        self._memory_path_free_at = start + cycles
+        return start
 
-    def _finish(self, command, slot, slots: Resource) -> None:
-        slots.release(slot)
-        self._outstanding[command.tag] -= 1
-        if self._outstanding[command.tag] < 0:
-            raise CellError(f"tag group {command.tag} under-run")
-        self._tag_completed[command.tag] += 1
+    def _retire(self, command) -> None:
+        """Completion bookkeeping shared by both engines: tag and
+        ordering counts, the sanitizer, and the waiters they release.
+        The caller frees the command's queue slot."""
+        tag = command.tag
+        outstanding = self._outstanding
+        outstanding[tag] -= 1
+        if outstanding[tag] < 0:
+            raise CellError(f"tag group {tag} under-run")
+        self._tag_completed[tag] += 1
         self._total_completed += 1
         self.commands_completed += 1
         if self._sanitizing:
             self._sanitizer.command_completed(self.node, command)
-        self._wake_tag_waiters()
-        self._wake_order_waiters()
+        if self._tag_waiters:
+            self._wake_tag_waiters()
+        if self._order_waiters:
+            self._wake_order_waiters()
 
     def _finish_fast(self, command) -> None:
-        """:meth:`_finish` for the coalescing engine, with the slot
+        """Retire a command on the coalescing engine, with the slot
         hand-off relay run inline when provably safe.
 
         The reference releases the queue slot first, but the release
-        only *pushes* the woken kernel's relay — nothing in the rest of
-        ``_finish`` reads or writes slot state, so moving the hand-off
-        to the tail is exact.  There, when nothing else shares the tick,
-        the woken kernel runs inline: it still precedes any tag-waiter
-        wakes this finish pushed (the reference relay carries a smaller
-        sequence number than those wakes), and every push it makes lands
-        after theirs, exactly as when it is popped off the heap.  The
-        sanitizer branch of ``_finish`` is dropped: the fast engine
-        never runs with an observer attached (resolve_engine).
+        only *pushes* the woken kernel's relay — nothing in
+        :meth:`_retire` reads or writes slot state, so moving the
+        hand-off to the tail is exact.  There, when nothing else shares
+        the tick, the woken kernel runs inline: it still precedes any
+        tag-waiter wakes this retirement pushed (the reference relay
+        carries a smaller sequence number than those wakes), and every
+        push it makes lands after theirs, exactly as when it is popped
+        off the heap.
         """
         slots = self._fast_slots
-        env = self.env
-        queue = env._queue
-        if slots.queue and not (queue and queue[0][0] == env.now):
-            tag = command.tag
-            outstanding = self._outstanding
-            outstanding[tag] -= 1
-            if outstanding[tag] < 0:
-                raise CellError(f"tag group {tag} under-run")
-            self._tag_completed[tag] += 1
-            self._total_completed += 1
-            self.commands_completed += 1
-            if self._tag_waiters:
-                self._wake_tag_waiters()
-            if self._order_waiters:
-                self._wake_order_waiters()
+        queue = self.env._queue
+        if slots.queue and not (queue and queue[0][0] == self.env.now):
+            self._retire(command)
             waiter: Any = slots.queue.popleft()
             waiter._run_callbacks()
         else:
-            self._finish(command, None, slots)
+            slots.release()
+            self._retire(command)
 
     def _wake_tag_waiters(self) -> None:
-        if not self._tag_waiters:
-            return
         still_waiting = []
         for event, tags in self._tag_waiters:
             if all(self._outstanding[tag] == 0 for tag in tags):
@@ -574,8 +583,6 @@ class Mfc:
         self._tag_waiters = still_waiting
 
     def _wake_order_waiters(self) -> None:
-        if not self._order_waiters:
-            return
         still_waiting = []
         for event, tag, threshold in self._order_waiters:
             if self._ordering_satisfied(tag, threshold):
@@ -642,84 +649,27 @@ class _FastMover(FastActor):
     # -- Mfc._move ---------------------------------------------------------------
 
     def _move_begin(self) -> None:
-        # _mv_paced and MemorySystem.assign_bank fused into the entry
-        # state: the common large-transfer path reaches the bank submit
-        # or the EIB leg without an intermediate frame.
-        mfc = self.mfc
         if self.nbytes < EFFICIENT_MIN_BYTES:
-            self._after(mfc._fast_small_penalty, self._mv_paced)
-            return
-        if self._mv_target is TargetKind.MAIN_MEMORY:
-            nbytes = self.nbytes
-            cycles = mfc._fast_mem_cycles.get(nbytes)
-            if cycles is None:
-                cycles = math.ceil(nbytes / mfc._fast_mem_rate)
-                mfc._fast_mem_cycles[nbytes] = cycles
-            env = self.env
-            now = env.now
-            free = mfc._memory_path_free_at
-            if free > now:
-                mfc._memory_path_free_at = free + cycles
-                # _after inlined.
-                self._run_callbacks = self._mv_route
-                env._sequence = sequence = env._sequence + 1
-                heappush(env._queue, (free, sequence, self))
-                return
-            mfc._memory_path_free_at = now + cycles
-            # _mv_route fused: the pacer granted dispatch immediately.
-            # assign_bank (Bresenham first-touch placement), inlined —
-            # including its per-requester call count, which fast-forward
-            # replays (repro.sim.fastforward).
-            memory = mfc._fast_memory
-            node = mfc.node
-            calls = memory._placement_calls
-            calls[node] = calls.get(node, 0) + 1
-            fraction = memory._placement_fraction
-            acc = (
-                memory._placement_accumulator.get(node, 1.0 - fraction)
-                + fraction
-            )
-            if acc >= 1.0 - 1e-12:
-                acc -= 1.0
-                bank = memory.local_bank
-            else:
-                bank = memory.remote_bank
-            memory._placement_accumulator[node] = acc
-            self._mv_bank = bank
-            if self._mv_direction is DmaDirection.GET:
-                self.direction = READ
-                self._run_callbacks = self._mv_read_done
-                bank.submit_fast(self)
-            else:
-                self._eib_begin(mfc.node, bank.node, self._mv_put_bank)
+            self._after(self.mfc._fast_small_penalty, self._mv_paced)
         else:
-            if self._mv_remote == mfc.node:
-                raise CellError("LS-to-LS DMA with itself")
-            if self._mv_direction is DmaDirection.GET:
-                self._eib_begin(self._mv_remote, mfc.node, self._mv_done)
-            else:
-                self._eib_begin(mfc.node, self._mv_remote, self._mv_done)
+            self._mv_paced()
 
     def _mv_paced(self) -> None:
         mfc = self.mfc
-        if self._mv_target is TargetKind.MAIN_MEMORY:
-            nbytes = self.nbytes
-            cycles = mfc._fast_mem_cycles.get(nbytes)
-            if cycles is None:
-                cycles = math.ceil(nbytes / mfc._fast_mem_rate)
-                mfc._fast_mem_cycles[nbytes] = cycles
-            now = self.env.now
-            free = mfc._memory_path_free_at
-            if free > now:
-                mfc._memory_path_free_at = free + cycles
-                self._after(free - now, self._mv_route)
-                return
-            mfc._memory_path_free_at = now + cycles
-            self._mv_route()
+        if self._mv_target is MAIN_MEMORY:
+            start = mfc._pace(self.nbytes)
+            env = self.env
+            if start > env.now:
+                # _after inlined (hot path, as the parks below).
+                self._run_callbacks = self._mv_route
+                env._sequence = sequence = env._sequence + 1
+                heappush(env._queue, (start, sequence, self))
+            else:
+                self._mv_route()
         else:
             if self._mv_remote == mfc.node:
                 raise CellError("LS-to-LS DMA with itself")
-            if self._mv_direction is DmaDirection.GET:
+            if self._mv_direction is GET:
                 self._eib_begin(self._mv_remote, mfc.node, self._mv_done)
             else:
                 self._eib_begin(mfc.node, self._mv_remote, self._mv_done)
@@ -728,9 +678,9 @@ class _FastMover(FastActor):
         mfc = self.mfc
         bank = mfc._fast_memory.assign_bank(mfc.node)
         self._mv_bank = bank
-        if self._mv_direction is DmaDirection.GET:
+        if self._mv_direction is GET:
             self.direction = READ
-            self._park(self._mv_read_done)
+            self._run_callbacks = self._mv_read_done
             bank.submit_fast(self)
         else:
             self._eib_begin(mfc.node, bank.node, self._mv_put_bank)
@@ -740,7 +690,7 @@ class _FastMover(FastActor):
 
     def _mv_put_bank(self) -> None:
         self.direction = WRITE
-        self._park(self._mv_done)
+        self._run_callbacks = self._mv_done
         self._mv_bank.submit_fast(self)
 
     def _mv_done(self) -> None:
@@ -753,7 +703,10 @@ class _FastMover(FastActor):
         self._eib_src = src
         self._eib_dst = dst
         self._eib_after = after
-        self._eib_leg = self._eib.leg(src, dst, self.nbytes)
+        eib = self._eib
+        # Eib.leg's memo probed first: one call fewer per leg.
+        leg = eib._legs.get((src, dst, self.nbytes))
+        self._eib_leg = eib.leg(src, dst, self.nbytes) if leg is None else leg
         self._eib_i = 0
         self._eib_chunk()
 
@@ -766,7 +719,7 @@ class _FastMover(FastActor):
             eib.conflicts += 1
             eib._waiters.append((self, self._eib_src, self._eib_dst, leg))
             self._eib_wait_started = self.env.now
-            self._park(self._eib_granted)
+            self._run_callbacks = self._eib_granted
             return
         ri, _mask, notmask, latency = choice
         self._eib_ri = ri
@@ -811,9 +764,14 @@ class _FastMover(FastActor):
         ri, notmask, latency, penalty = self._value
         self._eib_ri = ri
         self._eib_notmask = notmask
-        self._after(
-            penalty + latency + self._eib_leg[5][self._eib_i],
-            self._eib_chunk_done,
+        # _after inlined.
+        self._run_callbacks = self._eib_chunk_done
+        env = self.env
+        env._sequence = sequence = env._sequence + 1
+        heappush(
+            env._queue,
+            (env.now + penalty + latency + self._eib_leg[5][self._eib_i],
+             sequence, self),
         )
 
     def _eib_chunk_done(self) -> None:
@@ -831,7 +789,7 @@ class _FastMover(FastActor):
 class FastDmaCommand(_FastMover):
     """Flat twin of _execute_command for a plain (unordered) command.
 
-    Carries ``tag`` because that is all _register_enqueue and _finish
+    Carries ``tag`` because that is all _register_enqueue and _retire
     read from a command when no sanitizer is attached."""
 
     __slots__ = ("tag",)
@@ -895,40 +853,20 @@ class FastDmaCommand(_FastMover):
             # slot — the run loop reassigns ``now`` on the next pop and
             # reads nothing else.
             env.now = target
-            self._complete()
+            mfc._finish_fast(self)
+            mfc._fast_pool.append(self)
         else:
             self._run_callbacks = self._complete
             env._sequence = sequence = env._sequence + 1
             heappush(queue, (target, sequence, self))
 
     def _complete(self) -> None:
-        # _finish_fast inlined (same body, same branch guard); the shell
-        # is retired to the pool only after the slot hand-off so a woken
-        # kernel that issues immediately picks up a *different* shell —
-        # same behaviour as the unfused call sequence.
+        # The shell is retired to the pool only after the slot hand-off,
+        # so a woken kernel that issues immediately picks up a
+        # *different* shell.
         mfc = self.mfc
-        slots = mfc._fast_slots
-        env = self.env
-        queue = env._queue
-        if slots.queue and not (queue and queue[0][0] == env.now):
-            tag = self.tag
-            outstanding = mfc._outstanding
-            outstanding[tag] -= 1
-            if outstanding[tag] < 0:
-                raise CellError(f"tag group {tag} under-run")
-            mfc._tag_completed[tag] += 1
-            mfc._total_completed += 1
-            mfc.commands_completed += 1
-            if mfc._tag_waiters:
-                mfc._wake_tag_waiters()
-            if mfc._order_waiters:
-                mfc._wake_order_waiters()
-            waiter: Any = slots.queue.popleft()
-            waiter._run_callbacks()
-            mfc._fast_pool.append(self)
-        else:
-            mfc._finish(self, None, slots)
-            mfc._fast_pool.append(self)
+        mfc._finish_fast(self)
+        mfc._fast_pool.append(self)
 
 
 class FastDmaList(FastActor):

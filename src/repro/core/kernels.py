@@ -32,6 +32,10 @@ DIRECTIONS = ("get", "put", "copy")
 #: Command modes.
 MODES = ("elem", "list")
 
+#: DMA direction per tag (GET = tag 0, PUT = tag 1), bound once: reading
+#: a member off its Enum class costs a Python-level lookup per command.
+_TAG_DIRECTIONS = (DmaDirection.GET, DmaDirection.PUT)
+
 
 @dataclass(frozen=True)
 class _Window:
@@ -340,7 +344,7 @@ class FastStreamKernel(FastActor):
                 mfc._tag_enqueued[tag] += 1
                 mfc._total_enqueued += 1
                 mfc._outstanding[tag] += 1
-                direction = DmaDirection.GET if tag == 0 else DmaDirection.PUT
+                direction = _TAG_DIRECTIONS[tag]
                 pool = mfc._fast_pool
                 if pool:
                     shell = pool.pop()
@@ -363,7 +367,7 @@ class FastStreamKernel(FastActor):
                 self._after_issue()
         else:
             slots.queue.append(self)
-            self._park(self._elem_slotted)
+            self._run_callbacks = self._elem_slotted  # _park inlined
 
     def _elem_slotted(self) -> None:
         tag = self._pend_tag
@@ -379,7 +383,7 @@ class FastStreamKernel(FastActor):
             # relay guard).
             shell = pool.pop()
             shell.tag = tag
-            shell._mv_direction = DmaDirection.GET if tag == 0 else DmaDirection.PUT
+            shell._mv_direction = _TAG_DIRECTIONS[tag]
             shell._mv_target = self._target
             shell._mv_remote = self.partner_node
             shell.nbytes = self._elem_bytes
@@ -395,7 +399,7 @@ class FastStreamKernel(FastActor):
             FastDmaCommand(
                 self.env,
                 mfc,
-                DmaDirection.GET if tag == 0 else DmaDirection.PUT,
+                _TAG_DIRECTIONS[tag],
                 self._target,
                 self.partner_node,
                 self._elem_bytes,
@@ -447,7 +451,7 @@ class FastStreamKernel(FastActor):
         FastDmaList(
             self.env,
             mfc,
-            DmaDirection.GET if tag == 0 else DmaDirection.PUT,
+            _TAG_DIRECTIONS[tag],
             self._target,
             self.partner_node,
             self._elem_bytes,

@@ -51,7 +51,6 @@ from repro.sim.faults import (
     parse_fault_spec,
 )
 from repro.sim.resources import Container, Resource, Store
-from repro.sim.monitor import BusyMonitor, Counter, TimeSeries
 from repro.sim.sanitizer import (
     DmaSanitizer,
     NULL_SANITIZER,
@@ -73,10 +72,8 @@ from repro.sim.trace import (
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BusyMonitor",
     "Completion",
     "Container",
-    "Counter",
     "DmaHazard",
     "DmaSanitizer",
     "ENGINES",
@@ -103,7 +100,6 @@ __all__ = [
     "SimulationStall",
     "SpeFaultPlan",
     "Store",
-    "TimeSeries",
     "Timeout",
     "TraceRecorder",
     "TraceSummary",

@@ -33,10 +33,11 @@ oracle, gated by ``tests/test_engine_fast.py``):
   behind ``Eib._grant`` / ``_release`` / ``_drain`` / ``_contending``,
   called by the reference ``Eib.transfer`` generator and the fast
   movers alike — only trace emission, fault penalties and the
-  whole-leg merge differ by engine; command completion goes through
-  ``Mfc._finish`` (inlined line for line on the slot hand-off path),
-  and the bank's fast path inlines ``MemoryBank._pick`` line for
-  line and memoises ``_plan_service``;
+  whole-leg merge differ by engine; a memory bank is one state behind
+  ``MemoryBank._start`` / ``_complete``, driven by its ``_serve``
+  generator or by the bank itself on the heap; command completion goes
+  through ``Mfc._retire`` and memory-path pacing through ``Mfc._pace``
+  on both engines;
 * the fast engine only drives **unobserved** runs: trace, faults,
   sanitizer and watchdog-style observation need per-event resolution,
   so :func:`resolve_engine` silently falls back to the reference engine
@@ -185,10 +186,11 @@ class FastEnvironment(Environment):
     generator processes, timeouts, resources, the watched and unwatched
     run loops — because actors are popped and dispatched through the
     same ``_run_callbacks()`` call.  What changes is what the *models*
-    put on the heap: with ``coalescing`` set, memory banks skip their
-    server generators (:meth:`repro.cell.memory.MemoryBank.submit_fast`)
-    and kernels run as :class:`repro.core.kernels.FastStreamKernel`
-    actors instead of SPU generator programs.
+    put on the heap: with ``coalescing`` set, a memory bank is its own
+    heap actor instead of a server generator
+    (:meth:`repro.cell.memory.MemoryBank.submit_fast`), and kernels run
+    as :class:`repro.core.kernels.FastStreamKernel` actors instead of
+    SPU generator programs.
     """
 
     engine_name = "fast"
@@ -243,7 +245,7 @@ class FastEnvironment(Environment):
         pop = heappop
         popped = 0
         try:
-            while queue:
+            while queue and self._ff_on:
                 if self._ff_pending:
                     self._ff_pending = False
                     ff = self._ff
@@ -255,6 +257,14 @@ class FastEnvironment(Environment):
                     self.events_popped += popped
                     popped = 0
                     ff.attempt()
+                time, _seq, event = pop(queue)
+                self.now = time
+                popped += 1
+                event._run_callbacks()
+            # Fast-forward is off for good (it never re-enables, and
+            # anchors only raise _ff_pending while it is on): the plain
+            # drain loop.
+            while queue:
                 time, _seq, event = pop(queue)
                 self.now = time
                 popped += 1

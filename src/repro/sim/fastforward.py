@@ -45,8 +45,9 @@ and the counter deltas ``D`` of that period are known.  Advancing by
 shifts ``now`` and every heap entry uniformly (pairwise comparisons and
 the pop order are invariant), counters advance by ``N * D``, absolute
 time stamps carried by model state (the MFC memory-path pacer, EIB
-wait-start and ring busy-start stamps) shift with the clock, and the
-accumulators are rolled forward with verification as above.
+wait-start and ring busy-start stamps, bank busy-start stamps) shift
+with the clock, and the accumulators are rolled forward with
+verification as above.
 
 Conservative bail-out
 ---------------------
@@ -415,9 +416,7 @@ class FastForward:
                 bank._prev_requester,
                 bank._prev_direction,
                 tuple(bank._recent),
-                None
-                if bank._fast_current is None
-                else self._describe(bank._fast_current),
+                None if bank._current is None else describe(bank._current),
                 tuple(map(describe, bank._pending)),
             )
             for bank in self.banks
@@ -482,8 +481,10 @@ class FastForward:
                 eib._busy_cycles, eib._busy_since, eib._nact
             )
         )
+        # Bank busy time, the same way (busy_time() includes the open
+        # service).
         for bank in self.banks:
-            vals += (bank.bytes_served, bank.commands_served)
+            vals += (bank.bytes_served, bank.commands_served, bank.busy_time())
         calls = self.memory._placement_calls
         vals += (calls.get(r, 0) for r in self._requesters)
         return tuple(vals)
@@ -518,6 +519,9 @@ class FastForward:
         for bank in self.banks:
             bank.bytes_served = next(it)
             bank.commands_served = next(it)
+            bank.busy_cycles = next(it) - (
+                now - bank._busy_since if bank._current is not None else 0
+            )
         calls = self.memory._placement_calls
         for r in self._requesters:
             calls[r] = next(it)
@@ -529,7 +533,7 @@ class FastForward:
             + 8 * len(self.mfcs)
             + 4
             + len(self.eib._busy_cycles)
-            + 2 * len(self.banks)
+            + 3 * len(self.banks)
         )
 
     # -- margins ---------------------------------------------------------------
@@ -641,6 +645,9 @@ class FastForward:
         for ri, active in enumerate(eib._nact):
             if active:
                 eib._busy_since[ri] += shift
+        for bank in self.banks:
+            if bank._current is not None:
+                bank._busy_since += shift
         for actor, _src, _dst, _leg in eib._waiters:
             actor._eib_wait_started += shift
         for _time, _seq, item in env._queue:

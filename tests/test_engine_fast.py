@@ -216,3 +216,31 @@ class TestMixedTraffic:
         assert fast == self.run("reference", seed)
         # The two programs really contend for the bus.
         assert fast[2] > 0
+
+    MEMORY_COPY = DmaWorkload(direction="copy", element_bytes=16384, n_elements=16)
+    MEMORY_GET = DmaWorkload(direction="get", element_bytes=16384, n_elements=24)
+
+    def run_against_memory(self, engine, seed):
+        """A libspe copy program against main memory next to a GET
+        stream: generator and actor commands share the banks."""
+        chip = CellChip(mapping=SpeMapping.random(seed, 8), engine=engine)
+        program, stream = {}, {}
+        SpeContext(chip, 0).load(dma_stream_kernel, self.MEMORY_COPY, program)
+        if engine == "fast":
+            FastStreamKernel(chip.env, chip.spe(2), self.MEMORY_GET, stream)
+        else:
+            SpeContext(chip, 2).load(dma_stream_kernel, self.MEMORY_GET, stream)
+        chip.run()
+        return (
+            program["cycles"], program["end"],
+            stream["cycles"], stream["end"],
+            chip.eib.conflicts,
+            [bank.busy_time() for bank in chip.memory.banks],
+        )
+
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002, 1003])
+    def test_memory_traffic_matches_the_reference_engine(self, seed):
+        fast = self.run_against_memory("fast", seed)
+        assert fast == self.run_against_memory("reference", seed)
+        # Both programs reach both banks.
+        assert all(fast[5])
