@@ -52,13 +52,14 @@ MAIN_MEMORY = TargetKind.MAIN_MEMORY
 
 
 class _FastSlots:
-    """MFC queue-slot accounting for the coalescing engine.
+    """A counted slot pool for the coalescing engine: the MFC command
+    queue, and a DMA list's in-flight burst window.
 
     The reference engine's :class:`~repro.sim.resources.Resource` makes
     a slot grant cost two heap slots (the request's succeed plus the
     resume relay); those are an adjacent same-time pair, so the fast
-    path merges them into the single ``_after(0, ...)`` hop its caller
-    schedules.  A queue-full wait costs one slot at release in both
+    path merges them into the single zero-delay hop its caller
+    schedules.  A full-pool wait costs one slot at release in both
     engines: :meth:`release` wakes the oldest waiter directly.
     """
 
@@ -69,15 +70,14 @@ class _FastSlots:
         self.count = 0
         self.queue: deque[Completion] = deque()
 
-    def acquire(self) -> bool:
-        """Claim a slot now if one is free."""
+    def claim(self, waiter: Completion) -> bool:
+        """Take a slot now (True), or queue ``waiter`` for the next
+        release (False)."""
         if self.count < self.capacity:
             self.count += 1
             return True
-        return False
-
-    def wait(self, waiter: Completion) -> None:
         self.queue.append(waiter)
+        return False
 
     def release(self, request=None) -> None:
         """Free a slot, handing it straight to the oldest waiter —
@@ -140,17 +140,13 @@ class Mfc:
                 self.config.mfc.queue_depth
             )
             self._fast_quantum = self.config.eib.grant_quantum_bytes
-            self._fast_arbitration = self.config.eib.arbitration_cycles
             self._fast_completion = self.config.mfc.completion_cycles
             self._fast_elem_cycles = self.config.mfc.list_element_cycles
             self._fast_small_penalty = self.config.mfc.small_transfer_penalty_cycles
-            self._fast_inflight_limit = self.config.mfc.list_inflight_limit
             # Direct bus/memory handles (built before the SPEs).
             self._fast_eib = chip.eib
             self._fast_memory = chip.memory
-            # Retired FastDmaCommand shells for reuse: a finished
-            # command is fully dead (no heap entry, no waiter list holds
-            # it), so the next issue restarts it instead of allocating.
+            # Retired FastDmaCommands, restarted by _admit_fast.
             self._fast_pool: list[FastDmaCommand] = []
         else:
             self._fast_slots = None
@@ -251,11 +247,27 @@ class Mfc:
             if tag not in self._outstanding:
                 raise CellError(f"unknown tag group {tag}")
         event = self.env.event()
-        if all(self._outstanding[tag] == 0 for tag in tags):
+        if self._wait_quiet(event, tags):
             event.succeed()
-            return event
-        self._tag_waiters.append((event, tags))
         return event
+
+    def _wait_quiet(self, waiter: Completion, tags: tuple[int, ...]) -> bool:
+        """True when every listed tag group is already empty; otherwise
+        ``waiter`` (an Event or a fast-engine actor) joins the tag-waiter
+        list, and the retirement that empties the groups calls its
+        ``succeed()``."""
+        if self._quiet(tags):
+            return True
+        self._tag_waiters.append((waiter, tags))
+        return False
+
+    def _quiet(self, tags: tuple[int, ...]) -> bool:
+        """Whether every listed tag group is empty (the tags are known)."""
+        outstanding = self._outstanding
+        for tag in tags:
+            if outstanding[tag]:
+                return False
+        return True
 
     def redrive(self, tags: Iterable[int]) -> int:
         """Restart the parked (dropped) commands of the listed tag
@@ -280,36 +292,63 @@ class Mfc:
 
     @property
     def queue_free_slots(self) -> int:
+        """Free command-queue slots.  On a fast chip, libspe programs hold
+        slots of the reference queue and fast kernels of the fast one."""
+        held = self._slots.count
         if self._fast_slots is not None:
-            return self.config.mfc.queue_depth - self._fast_slots.count
-        return self.config.mfc.queue_depth - self._slots.count
+            held += self._fast_slots.count
+        return self.config.mfc.queue_depth - held
 
     # -- coalescing-engine API ---------------------------------------------------
     #
-    # The fast twins of enqueue/tag_group_quiet.  The waiter is always a
-    # FastActor; model decisions and bookkeeping go through the same
-    # methods the reference path uses (_register_enqueue, _pace, _retire,
-    # the tag-waiter lists), so the two engines share one timing model.
+    # The fast twin of enqueue, driven by FastActor kernels once they
+    # hold a _FastSlots slot.  Model decisions and bookkeeping go through
+    # the same state the reference path uses (the enqueue counts, _pace,
+    # _retire, the tag-waiter list), so the two engines share one timing
+    # model.
 
-    def fast_claim_slot(self, waiter: Completion) -> bool:
-        """Claim a queue slot now (True) or join the slot queue (False);
-        a queued waiter is resumed by the next completion's release."""
-        if self._fast_slots.acquire():
-            return True
-        self._fast_slots.wait(waiter)
-        return False
-
-    def fast_tags_quiet(self, tags: Iterable[int], waiter: Completion) -> bool:
-        """True when every listed tag group is already empty, else park
-        the waiter on the shared tag-waiter list (woken by _retire)."""
-        tags = tuple(tags)
-        for tag in tags:
-            if tag not in self._outstanding:
-                raise CellError(f"unknown tag group {tag}")
-        if all(self._outstanding[tag] == 0 for tag in tags):
-            return True
-        self._tag_waiters.append((waiter, tags))
-        return False
+    def _admit_fast(
+        self, direction, target, remote_node, nbytes: int, tag: int,
+        n_elements: int | None = None,
+    ) -> None:
+        """Enqueue one command whose queue slot the caller holds (see
+        :class:`_FastSlots`): the enqueue counts of _register_enqueue
+        (no sanitizer is ever attached on this engine), then the
+        executor machine — a DMA list of ``n_elements`` elements of
+        ``nbytes`` each, or a single command of ``nbytes``."""
+        self._tag_enqueued[tag] += 1
+        self._total_enqueued += 1
+        self._outstanding[tag] += 1
+        if n_elements is not None:
+            FastDmaList(
+                self.env, self, direction, target, remote_node,
+                nbytes, n_elements, tag,
+            )
+            return
+        # A retired command is fully dead (no heap entry, no waiter list
+        # holds it), so a pooled one is restarted instead of allocating.
+        pool = self._fast_pool
+        command = pool.pop() if pool else FastDmaCommand(self)
+        command.tag = tag
+        command._mv_direction = direction
+        command._mv_target = target
+        command._mv_remote = remote_node
+        command.nbytes = nbytes
+        # The executor's start relay, a zero-delay hop (FastActor._hop,
+        # inlined, and _move_begin inlined into its inline branch: one
+        # of each per command).  Nothing the move touches is read by the
+        # issuing kernel's remaining same-pop work, and the chain always
+        # parks or schedules ahead before completing.
+        env = self.env
+        queue = env._queue
+        if queue and queue[0][0] == env.now:
+            command._run_callbacks = command._move_begin
+            env._sequence = sequence = env._sequence + 1
+            heappush(queue, (env.now, sequence, command))
+        elif nbytes < EFFICIENT_MIN_BYTES:
+            command._after(self._fast_small_penalty, command._mv_paced)
+        else:
+            command._mv_paced()
 
     # -- ordering (fence / barrier) ------------------------------------------------
 
@@ -576,7 +615,7 @@ class Mfc:
     def _wake_tag_waiters(self) -> None:
         still_waiting = []
         for event, tags in self._tag_waiters:
-            if all(self._outstanding[tag] == 0 for tag in tags):
+            if self._quiet(tags):
                 event.succeed()
             else:
                 still_waiting.append((event, tags))
@@ -789,52 +828,21 @@ class _FastMover(FastActor):
 class FastDmaCommand(_FastMover):
     """Flat twin of _execute_command for a plain (unordered) command.
 
-    Carries ``tag`` because that is all _register_enqueue and _retire
-    read from a command when no sanitizer is attached."""
+    Carries ``tag`` because that is all _retire reads from a command
+    when no sanitizer is attached.  :meth:`Mfc._admit_fast` is its one
+    start path: it sets the per-command fields on a new command or on
+    one retired to the MFC's pool, and takes the start relay."""
 
     __slots__ = ("tag",)
 
-    def __init__(self, env, mfc: Mfc, direction, target, remote_node, nbytes, tag):
-        self.env = env
+    def __init__(self, mfc: Mfc):
+        self.env = mfc.env
         self._value = None
         self.mfc = mfc
         self._eib = mfc._fast_eib
-        self.tag = tag
-        self._mv_direction = direction
-        self._mv_target = target
-        self._mv_remote = remote_node
-        self.nbytes = nbytes
         self.requester = mfc.node
         self.done = self
         # No _mv_after: this class fuses it into its _mv_done override.
-        # The executor's start relay, inlined when nothing else shares
-        # the tick (nothing the move touches is read by the issuing
-        # kernel's remaining same-pop work, and the chain always parks
-        # or schedules ahead before completing).
-        queue = env._queue
-        if queue and queue[0][0] == env.now:
-            self._run_callbacks = self._move_begin
-            env._sequence = sequence = env._sequence + 1
-            heappush(queue, (env.now, sequence, self))
-        else:
-            self._move_begin()
-
-    def _restart(self, direction, target, remote_node, nbytes, tag) -> None:
-        """Reissue a retired shell: the constructor minus the fields
-        that survive retirement (env, mfc, requester, done)."""
-        self.tag = tag
-        self._mv_direction = direction
-        self._mv_target = target
-        self._mv_remote = remote_node
-        self.nbytes = nbytes
-        env = self.env
-        queue = env._queue
-        if queue and queue[0][0] == env.now:
-            self._run_callbacks = self._move_begin
-            env._sequence = sequence = env._sequence + 1
-            heappush(queue, (env.now, sequence, self))
-        else:
-            self._move_begin()
 
     def _mv_done(self) -> None:
         # The base _mv_done plus the completion-latency slot, fused.
@@ -871,7 +879,8 @@ class FastDmaCommand(_FastMover):
 
 class FastDmaList(FastActor):
     """Flat twin of _execute_list: fetch-paced burst issue behind the
-    in-flight token window, then drain, then completion."""
+    in-flight burst window (a :class:`_FastSlots`, like the reference's
+    per-list Resource), then drain, then completion."""
 
     __slots__ = (
         "mfc",
@@ -883,8 +892,7 @@ class FastDmaList(FastActor):
         "_burst_i",
         "_cur_nbytes",
         "_outstanding_bursts",
-        "_inflight",
-        "_token_waiting",
+        "_window",
         "_all_issued",
     )
 
@@ -901,8 +909,7 @@ class FastDmaList(FastActor):
         self._bursts = uniform_bursts(element_size, n_elements, mfc._fast_quantum)
         self._burst_i = 0
         self._outstanding_bursts = 0
-        self._inflight = 0
-        self._token_waiting = False
+        self._window = _FastSlots(mfc.config.mfc.list_inflight_limit)
         self._all_issued = False
         # The executor's start relay (see FastDmaCommand).
         self._hop(self._next_burst)
@@ -924,11 +931,9 @@ class FastDmaList(FastActor):
                 self._park(self._drained)
 
     def _fetched(self) -> None:
-        if self._inflight < self.mfc._fast_inflight_limit:
-            self._inflight += 1
+        if self._window.claim(self):
             self._hop(self._token)
         else:
-            self._token_waiting = True
             self._park(self._token)
 
     def _token(self) -> None:
@@ -936,15 +941,6 @@ class FastDmaList(FastActor):
         _FastListBurst(self.env, self, self._cur_nbytes)
         self._burst_i += 1
         self._next_burst()
-
-    def _release_token(self) -> None:
-        """Resource.release's fast twin: hand the token straight to this
-        list's parked issue loop, or just decrement."""
-        if self._token_waiting:
-            self._token_waiting = False
-            self.succeed()
-        else:
-            self._inflight -= 1
 
     def _burst_done(self) -> None:
         self._outstanding_bursts -= 1
@@ -988,7 +984,7 @@ class _FastListBurst(_FastMover):
     def _moved(self) -> None:
         # Token release first, then the done-event slot — the reference
         # burst releases its in-flight token before done.succeed().
-        self.dma_list._release_token()
+        self.dma_list._window.release()
         self._hop(self._notify)
 
     def _notify(self) -> None:

@@ -27,9 +27,8 @@ from repro.cell.chip import CellChip
 from repro.cell.config import CellConfig
 from repro.cell.errors import ConfigError
 from repro.cell.topology import SpeMapping
-from repro.core.kernels import DmaWorkload, FastStreamKernel, dma_stream_kernel
+from repro.core.kernels import DmaWorkload, load_stream_kernel
 from repro.core.results import BandwidthSample, BandwidthStats, SweepTable
-from repro.libspe import SpeContext
 
 #: Assignment of one workload to one logical SPE.
 Assignment = tuple[int, DmaWorkload]
@@ -123,14 +122,7 @@ def run_spec_report(spec: RunSpec, engine: str = "reference") -> EngineReport:
             else None
         )
         out: dict = {}
-        if chip.engine == "fast":
-            FastStreamKernel(
-                chip.env, chip.spe(logical), workload, out,
-                partner=partner, unrolled=spec.unrolled,
-            )
-        else:
-            context = SpeContext(chip, logical, unrolled=spec.unrolled)
-            context.load(dma_stream_kernel, workload, out, partner)
+        load_stream_kernel(chip, logical, workload, out, partner, spec.unrolled)
         outs.append(out)
     chip.run()
     total_bytes = sum(out["bytes"] for out in outs)

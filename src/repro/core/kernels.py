@@ -18,13 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappush
+from typing import TYPE_CHECKING
 
 from repro.cell.dma import DmaDirection, TargetKind, validate_transfer
-from repro.cell.errors import CellError, ConfigError
-from repro.cell.mfc import FastDmaCommand, FastDmaList
+from repro.cell.errors import ConfigError
 from repro.cell.spe import Spe
-from repro.libspe import SpuRuntime
+from repro.libspe import SpeContext, SpuRuntime
 from repro.sim.engine_fast import FastActor, FastEnvironment
+
+if TYPE_CHECKING:
+    from repro.cell.chip import CellChip
 
 #: Directions an experiment can request.
 DIRECTIONS = ("get", "put", "copy")
@@ -72,11 +75,6 @@ def _windows_for(ls_size: int, workload: DmaWorkload) -> dict[int, _Window]:
     return {tag: _Window(base=0, nbuf=max(1, ls_size // elem), element_bytes=elem)}
 
 
-def _buffer_windows(spu: SpuRuntime, workload: DmaWorkload) -> dict[int, _Window]:
-    """Per-tag rotating buffer windows (GET = tag 0, PUT = tag 1)."""
-    return _windows_for(spu.spe.local_store.size, workload)
-
-
 @dataclass(frozen=True)
 class DmaWorkload:
     """Everything one SPE does in a timed run."""
@@ -120,7 +118,7 @@ def dma_stream_kernel(
         raise ConfigError("workload targets an SPE but no partner was given")
 
     tags = {"get": (0,), "put": (1,), "copy": (0, 1)}[workload.direction]
-    windows = _buffer_windows(spu, workload)
+    windows = _windows_for(spu.spe.local_store.size, workload)
 
     # Warm-up lap: touch the buffers once so the timed region has no
     # first-touch effects (the paper warms TLBs and page tables the same
@@ -205,12 +203,20 @@ def _list_loop(spu, workload, partner, tags):
 class FastStreamKernel(FastActor):
     """:func:`dma_stream_kernel` as a flat coalescing-engine actor.
 
-    One state method per resume point of the generator program: warmup
-    commands, the timed elem/list loop, tag syncs, the final drain.  The
-    issue-cost, validation and tag rules are the SpuRuntime's, applied
-    in the same order, so a fast run replays the reference run's heap
-    schedule exactly (see :mod:`repro.sim.engine_fast` for the three
-    coalescings that make it cheaper, not different).
+    One state method per resume point of the generator program: the
+    warm-up commands, the timed loop, tag syncs, the final drain.  The
+    kernel is a *driver*: it pays the SpuRuntime's issue and sync costs
+    and then takes the MFC's own transitions — a slot of the MFC queue
+    (:class:`~repro.cell.mfc._FastSlots`), the enqueue
+    (:meth:`~repro.cell.mfc.Mfc._admit_fast`) and the tag-group wait
+    (:meth:`~repro.cell.mfc.Mfc._wait_quiet`) — in the reference order,
+    so a fast run replays the reference run's heap schedule exactly
+    (see :mod:`repro.sim.engine_fast` for the coalescings that make it
+    cheaper, not different).
+
+    Elem and list loops are one loop: :meth:`_warmed` fixes the issue
+    cost and the chunk (1 for elem, the list batch for list), and each
+    iteration issues one command per direction of ``_chunk`` elements.
     """
 
     __slots__ = (
@@ -222,17 +228,15 @@ class FastStreamKernel(FastActor):
         "name",
         "finished",
         "_tags",
-        "_windows",
         "_target",
         "_direction",
         "_elem_bytes",
         "_n",
         "_sync_every",
         "_issue_cycles",
-        "_list_issue_cycles",
         "_sync_cycles",
-        "_limit",
-        "_batch",
+        "_slots",
+        "_list",
         "_chunk",
         "_issued",
         "_since_sync",
@@ -241,7 +245,6 @@ class FastStreamKernel(FastActor):
         "_pend_tag",
         "_after_issue",
         "_after_sync",
-        "_fast_slots",
         "_ff_anchor",
     )
 
@@ -266,7 +269,6 @@ class FastStreamKernel(FastActor):
             TargetKind.MAIN_MEMORY if partner is None else TargetKind.LOCAL_STORE
         )
         self._tags = {"get": (0,), "put": (1,), "copy": (0, 1)}[workload.direction]
-        self._windows = _windows_for(spe.local_store.size, workload)
         self._direction = workload.direction
         self._elem_bytes = workload.element_bytes
         self._n = workload.n_elements
@@ -275,31 +277,40 @@ class FastStreamKernel(FastActor):
         cost = mfccfg.elem_issue_cycles
         if not unrolled:
             cost *= mfccfg.rolled_loop_issue_factor
+        # Warm-up commands are single commands in both modes; _warmed
+        # switches a list kernel's issue cost, batch and sync cadence.
         self._issue_cycles = cost
-        self._list_issue_cycles = mfccfg.list_issue_cycles
         self._sync_cycles = mfccfg.sync_cycles
-        self._limit = mfccfg.list_max_elements
-        self._fast_slots = self.mfc._fast_slots
+        self._slots = self.mfc._fast_slots
+        self._list = False
+        self._chunk = 1
+        self._issued = 0
+        self._since_sync = 0
+        self._warm_i = 0
+        self._t_start = 0
+        self._pend_tag = self._tags[0]
+        self._after_issue = self._warm_next
+        self._after_sync = self._warmed
         # DmaCommand/DmaList construction-time checks, hoisted out of the
         # issue loop: every offset this kernel ever uses is
         # base + (index % nbuf) * element_bytes, an arithmetic
         # progression, so indices 0 and 1 cover every distinct
-        # size/alignment case (the same reduction _list_built documents
-        # for uniform list elements, whose offsets 0 and size these two
-        # checks also subsume).
+        # size/alignment case (a uniform list's element offsets, 0 and
+        # size, are subsumed the same way).
+        windows = _windows_for(spe.local_store.size, workload)
         for tag in self._tags:
-            window = self._windows[tag]
+            window = windows[tag]
             validate_transfer(self._elem_bytes, window.offset(0), window.offset(0))
             validate_transfer(self._elem_bytes, window.offset(1), window.offset(1))
         self.name = f"fast-kernel {spe.node}"
         self.finished = False
         self._ff_anchor = env.register_kernel(self)
         # The program's start relay (spe_create_thread).
-        self._after(0, self._start)
+        self._after(0, self._warm_next)
 
-    # -- issue helpers (SpuRuntime._issue_elem / _issue_list) --------------------
+    # -- issue (SpuRuntime._issue_elem / _issue_list, Mfc.enqueue) ---------------
 
-    def _issue_elem(self, tag: int, after) -> None:
+    def _issue(self, tag: int, after) -> None:
         self._pend_tag = tag
         self._after_issue = after
         # _after inlined (hottest kernel scheduling site), with a
@@ -313,150 +324,40 @@ class FastStreamKernel(FastActor):
         target = env.now + self._issue_cycles
         if not queue or queue[0][0] > target:
             env.now = target
-            self._elem_built()
+            self._claim()
         else:
-            self._run_callbacks = self._elem_built
+            self._run_callbacks = self._claim
             env._sequence = sequence = env._sequence + 1
             heappush(queue, (target, sequence, self))
 
-    def _elem_built(self) -> None:
-        # Mfc.fast_claim_slot, inlined (validation was hoisted to
-        # construction; see __init__), with the slot-grant relay's
-        # zero-delay hop guard open-coded.
-        slots = self._fast_slots
+    def _claim(self) -> None:
+        # The queue slot: a grant is one zero-delay hop, a full queue
+        # parks the kernel until a retirement hands it the slot.
+        # _FastSlots.claim and _hop, inlined (once per command).
+        slots = self._slots
         if slots.count < slots.capacity:
             slots.count += 1
             env = self.env
             queue = env._queue
             if queue and queue[0][0] == env.now:
-                self._run_callbacks = self._elem_slotted
+                self._run_callbacks = self._admit
                 env._sequence = sequence = env._sequence + 1
                 heappush(queue, (env.now, sequence, self))
             else:
-                # _elem_slotted inlined, with the pooled shell's restart
-                # relay resolved statically: the guard above established
-                # nothing else fires this tick, and the enqueue counters
-                # below push nothing, so the relay's own guard (the same
-                # expression) must also take the inline branch — the
-                # mover starts directly.
-                tag = self._pend_tag
-                mfc = self.mfc
-                mfc._tag_enqueued[tag] += 1
-                mfc._total_enqueued += 1
-                mfc._outstanding[tag] += 1
-                direction = _TAG_DIRECTIONS[tag]
-                pool = mfc._fast_pool
-                if pool:
-                    shell = pool.pop()
-                    shell.tag = tag
-                    shell._mv_direction = direction
-                    shell._mv_target = self._target
-                    shell._mv_remote = self.partner_node
-                    shell.nbytes = self._elem_bytes
-                    shell._move_begin()
-                else:
-                    FastDmaCommand(
-                        env,
-                        mfc,
-                        direction,
-                        self._target,
-                        self.partner_node,
-                        self._elem_bytes,
-                        tag,
-                    )
-                self._after_issue()
+                self._admit()
         else:
             slots.queue.append(self)
-            self._run_callbacks = self._elem_slotted  # _park inlined
+            self._run_callbacks = self._admit
 
-    def _elem_slotted(self) -> None:
+    def _admit(self) -> None:
         tag = self._pend_tag
-        mfc = self.mfc
-        # Mfc._register_enqueue (never sanitizing under the fast engine),
-        # then the executor machine — the reference enqueue's order.
-        mfc._tag_enqueued[tag] += 1
-        mfc._total_enqueued += 1
-        mfc._outstanding[tag] += 1
-        pool = mfc._fast_pool
-        if pool:
-            # FastDmaCommand._restart, inlined (same fields, same start
-            # relay guard).
-            shell = pool.pop()
-            shell.tag = tag
-            shell._mv_direction = _TAG_DIRECTIONS[tag]
-            shell._mv_target = self._target
-            shell._mv_remote = self.partner_node
-            shell.nbytes = self._elem_bytes
-            env = self.env
-            queue = env._queue
-            if queue and queue[0][0] == env.now:
-                shell._run_callbacks = shell._move_begin
-                env._sequence = sequence = env._sequence + 1
-                heappush(queue, (env.now, sequence, shell))
-            else:
-                shell._move_begin()
-        else:
-            FastDmaCommand(
-                self.env,
-                mfc,
-                _TAG_DIRECTIONS[tag],
-                self._target,
-                self.partner_node,
-                self._elem_bytes,
-                tag,
-            )
-        self._after_issue()
-
-    def _issue_list(self, tag: int, after) -> None:
-        if self._chunk > self._limit:
-            raise CellError(
-                f"a DMA list holds at most {self._limit} elements, got {self._chunk}"
-            )
-        self._pend_tag = tag
-        self._after_issue = after
-        # Same tail-warp as _issue_elem (same all-tail call chains).
-        env = self.env
-        queue = env._queue
-        target = env.now + self._list_issue_cycles
-        if not queue or queue[0][0] > target:
-            env.now = target
-            self._list_built()
-        else:
-            self._run_callbacks = self._list_built
-            env._sequence = sequence = env._sequence + 1
-            heappush(queue, (target, sequence, self))
-
-    def _list_built(self) -> None:
-        slots = self._fast_slots
-        if slots.count < slots.capacity:
-            slots.count += 1
-            env = self.env
-            queue = env._queue
-            if queue and queue[0][0] == env.now:
-                self._run_callbacks = self._list_slotted
-                env._sequence = sequence = env._sequence + 1
-                heappush(queue, (env.now, sequence, self))
-            else:
-                self._list_slotted()
-        else:
-            slots.queue.append(self)
-            self._park(self._list_slotted)
-
-    def _list_slotted(self) -> None:
-        tag = self._pend_tag
-        mfc = self.mfc
-        mfc._tag_enqueued[tag] += 1
-        mfc._total_enqueued += 1
-        mfc._outstanding[tag] += 1
-        FastDmaList(
-            self.env,
-            mfc,
+        self.mfc._admit_fast(
             _TAG_DIRECTIONS[tag],
             self._target,
             self.partner_node,
             self._elem_bytes,
-            self._chunk,
             tag,
+            self._chunk if self._list else None,
         )
         self._after_issue()
 
@@ -464,7 +365,7 @@ class FastStreamKernel(FastActor):
 
     def _wait_tags(self, after) -> None:
         self._after_sync = after
-        # Same tail-warp as _issue_elem (same all-tail call chains).
+        # Same tail-warp as _issue (same all-tail call chains).
         env = self.env
         queue = env._queue
         target = env.now + self._sync_cycles
@@ -477,62 +378,59 @@ class FastStreamKernel(FastActor):
             heappush(queue, (target, sequence, self))
 
     def _sync_ready(self) -> None:
-        # Mfc.fast_tags_quiet, inlined; this kernel's tags are always
-        # registered groups, so the unknown-tag guard cannot fire.
-        mfc = self.mfc
-        outstanding = mfc._outstanding
-        for tag in self._tags:
-            if outstanding[tag]:
-                mfc._tag_waiters.append((self, self._tags))
-                self._park(self._sync_quiet)
-                return
-        self._hop(self._sync_quiet)
-
-    def _sync_quiet(self) -> None:
-        self._after_sync()
+        # Quiet: the wait event's pop is one zero-delay hop.  Otherwise
+        # the kernel parks on its continuation, resumed by the
+        # retirement that empties its tag groups.
+        if self.mfc._wait_quiet(self, self._tags):
+            self._hop(self._after_sync)
+        else:
+            self._run_callbacks = self._after_sync
 
     # -- the program -------------------------------------------------------------
-
-    def _start(self) -> None:
-        self._warm_i = 0
-        self._warm_next()
 
     def _warm_next(self) -> None:
         if self._warm_i < len(self._tags):
             tag = self._tags[self._warm_i]
             self._warm_i += 1
-            self._issue_elem(tag, self._warm_next)
+            self._issue(tag, self._warm_next)
         else:
             self._wait_tags(self._warmed)
 
     def _warmed(self) -> None:
         self._t_start = self.env.now
-        self._issued = 0
-        self._since_sync = 0
-        if self.workload.mode == "elem":
-            self._elem_next()
-        else:
-            batch = self._sync_every or self._limit
-            self._batch = batch if batch < self._limit else self._limit
-            self._list_next()
+        if self.workload.mode == "list":
+            # One list per direction per iteration, and a sync after
+            # every iteration when the workload syncs at all.
+            mfccfg = self.spe.config.mfc
+            limit = mfccfg.list_max_elements
+            batch = self._sync_every or limit
+            self._list = True
+            self._issue_cycles = mfccfg.list_issue_cycles
+            self._chunk = batch if batch < limit else limit
+            self._sync_every = None if self._sync_every is None else 1
+        self._next()
 
-    def _elem_next(self) -> None:
-        if self._issued >= self._n:
+    def _next(self) -> None:
+        remaining = self._n - self._issued
+        if remaining <= 0:
             self._wait_tags(self._done)
             return
+        # The last list may be short; an elem chunk is always 1.
+        if remaining < self._chunk:
+            self._chunk = remaining
         if self._direction != "put":
-            self._issue_elem(0, self._elem_mid)
+            self._issue(0, self._mid)
         else:
-            self._elem_mid()
+            self._mid()
 
-    def _elem_mid(self) -> None:
+    def _mid(self) -> None:
         if self._direction != "get":
-            self._issue_elem(1, self._elem_tail)
+            self._issue(1, self._tail)
         else:
-            self._elem_tail()
+            self._tail()
 
-    def _elem_tail(self) -> None:
-        self._issued += 1
+    def _tail(self) -> None:
+        self._issued += self._chunk
         self._since_sync += 1
         if self._ff_anchor:
             env = self.env
@@ -543,37 +441,9 @@ class FastStreamKernel(FastActor):
                 env._ff_pending = True
         if self._sync_every is not None and self._since_sync >= self._sync_every:
             self._since_sync = 0
-            self._wait_tags(self._elem_next)
+            self._wait_tags(self._next)
         else:
-            self._elem_next()
-
-    def _list_next(self) -> None:
-        if self._issued >= self._n:
-            self._wait_tags(self._done)
-            return
-        remaining = self._n - self._issued
-        self._chunk = self._batch if self._batch < remaining else remaining
-        if self._direction != "put":
-            self._issue_list(0, self._list_mid)
-        else:
-            self._list_mid()
-
-    def _list_mid(self) -> None:
-        if self._direction != "get":
-            self._issue_list(1, self._list_tail)
-        else:
-            self._list_tail()
-
-    def _list_tail(self) -> None:
-        self._issued += self._chunk
-        if self._ff_anchor:
-            env = self.env
-            if env._ff_on:
-                env._ff_pending = True
-        if self._sync_every is not None:
-            self._wait_tags(self._list_next)
-        else:
-            self._list_next()
+            self._next()
 
     def _done(self) -> None:
         end = self.env.now
@@ -583,3 +453,25 @@ class FastStreamKernel(FastActor):
         out["cycles"] = end - self._t_start
         out["bytes"] = self.workload.total_bytes
         self.finished = True
+
+
+def load_stream_kernel(
+    chip: CellChip,
+    logical: int,
+    workload: DmaWorkload,
+    out: dict,
+    partner: Spe | None = None,
+    unrolled: bool = True,
+) -> None:
+    """Start the stream program on logical SPE ``logical``: as a
+    :class:`FastStreamKernel` on a fast chip, as :func:`dma_stream_kernel`
+    under libspe otherwise.  Both write the same ``out``."""
+    if chip.engine == "fast":
+        FastStreamKernel(
+            chip.env, chip.spe(logical), workload, out,
+            partner=partner, unrolled=unrolled,
+        )
+    else:
+        SpeContext(chip, logical, unrolled=unrolled).load(
+            dma_stream_kernel, workload, out, partner
+        )

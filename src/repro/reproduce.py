@@ -477,39 +477,43 @@ def run_all(
     return checks
 
 
-def run_traced(preset: str, path: str, seed: int = 1000) -> bool:
-    """Run the traced showcase workload and write a Chrome trace to
-    ``path``.  Returns True when the trace stream reproduces the live
-    EIB counters exactly (it must, for a completed run)."""
+def _run_showcase(seed: int, element_bytes: int, volume: int, **observer):
+    """Run the observed-run showcase chip and return it: GET streams
+    from memory on logical SPEs 0-3 (bank and MFC records) and copy
+    couples 4->5 and 6->7 (ring-conflict records), so every record type
+    fires.  ``observer`` is passed to the chip (trace= or sanitizer=)."""
     from repro.cell.chip import CellChip
     from repro.cell.topology import SpeMapping
-    from repro.core.kernels import DmaWorkload, dma_stream_kernel
-    from repro.libspe import SpeContext
-    from repro.sim import TraceRecorder, TraceSummary, write_chrome_trace
+    from repro.core.kernels import DmaWorkload, load_stream_kernel
 
-    sizes, _repetitions, volume = PRESETS[preset]
-    element_bytes = max(sizes)
     n_elements = max(32, min(256, volume // element_bytes))
-    recorder = TraceRecorder()
-    chip = CellChip(mapping=SpeMapping.random(seed, 8), trace=recorder)
-    # Memory streams on SPEs 0-3 (bank + MFC records), couples on
-    # 4/5 and 6/7 (ring-conflict records): every record type fires.
+    chip = CellChip(mapping=SpeMapping.random(seed, 8), **observer)
+    stream = DmaWorkload(
+        direction="get", element_bytes=element_bytes, n_elements=n_elements
+    )
     for logical in range(4):
-        out: dict = {}
-        workload = DmaWorkload(
-            direction="get", element_bytes=element_bytes, n_elements=n_elements
-        )
-        SpeContext(chip, logical).load(dma_stream_kernel, workload, out, None)
+        load_stream_kernel(chip, logical, stream, {})
     for a, b in ((4, 5), (6, 7)):
-        out = {}
-        workload = DmaWorkload(
+        couple = DmaWorkload(
             direction="copy",
             element_bytes=element_bytes,
             n_elements=n_elements,
             partner_logical=b,
         )
-        SpeContext(chip, a).load(dma_stream_kernel, workload, out, chip.spe(b))
+        load_stream_kernel(chip, a, couple, {}, chip.spe(b))
     chip.run()
+    return chip
+
+
+def run_traced(preset: str, path: str, seed: int = 1000) -> bool:
+    """Run the traced showcase workload and write a Chrome trace to
+    ``path``.  Returns True when the trace stream reproduces the live
+    EIB counters exactly (it must, for a completed run)."""
+    from repro.sim import TraceRecorder, TraceSummary, write_chrome_trace
+
+    sizes, _repetitions, volume = PRESETS[preset]
+    recorder = TraceRecorder()
+    chip = _run_showcase(seed, max(sizes), volume, trace=recorder)
     counters = TraceSummary(recorder.records).counters()
     live = {
         "grants": chip.eib.grants,
@@ -558,8 +562,6 @@ def run_sanitized(preset: str, seed: int = 1000) -> bool:
     Returns True when both behave as claimed.
     """
     from repro.cell.chip import CellChip
-    from repro.cell.topology import SpeMapping
-    from repro.core.kernels import DmaWorkload, dma_stream_kernel
     from repro.libspe import SpeContext
     from repro.sim import DmaSanitizer
 
@@ -569,23 +571,8 @@ def run_sanitized(preset: str, seed: int = 1000) -> bool:
     # local store — so the clean showcase runs the largest size whose
     # rotation provably fits (see docs/MODEL.md, "Correctness tooling").
     element_bytes = max(s for s in sizes if s <= 4096)
-    n_elements = max(32, min(256, volume // element_bytes))
     sanitizer = DmaSanitizer()
-    chip = CellChip(mapping=SpeMapping.random(seed, 8), sanitizer=sanitizer)
-    for logical in range(4):
-        workload = DmaWorkload(
-            direction="get", element_bytes=element_bytes, n_elements=n_elements
-        )
-        SpeContext(chip, logical).load(dma_stream_kernel, workload, {}, None)
-    for a, b in ((4, 5), (6, 7)):
-        workload = DmaWorkload(
-            direction="copy",
-            element_bytes=element_bytes,
-            n_elements=n_elements,
-            partner_logical=b,
-        )
-        SpeContext(chip, a).load(dma_stream_kernel, workload, {}, chip.spe(b))
-    chip.run()
+    _run_showcase(seed, element_bytes, volume, sanitizer=sanitizer)
     print(f"sanitized showcase: {sanitizer.report()}")
     ok = True
     if sanitizer.findings:

@@ -36,8 +36,10 @@ oracle, gated by ``tests/test_engine_fast.py``):
   whole-leg merge differ by engine; a memory bank is one state behind
   ``MemoryBank._start`` / ``_complete``, driven by its ``_serve``
   generator or by the bank itself on the heap; command completion goes
-  through ``Mfc._retire`` and memory-path pacing through ``Mfc._pace``
-  on both engines;
+  through ``Mfc._retire``, memory-path pacing through ``Mfc._pace`` and
+  the tag-group test through ``Mfc._quiet`` on both engines, and the
+  fast stream kernel only *drives* the MFC — its queue slots, its
+  enqueue (``Mfc._admit_fast``) and its tag-waiter list;
 * the fast engine only drives **unobserved** runs: trace, faults,
   sanitizer and watchdog-style observation need per-event resolution,
   so :func:`resolve_engine` silently falls back to the reference engine
@@ -188,9 +190,12 @@ class FastEnvironment(Environment):
     same ``_run_callbacks()`` call.  What changes is what the *models*
     put on the heap: with ``coalescing`` set, a memory bank is its own
     heap actor instead of a server generator
-    (:meth:`repro.cell.memory.MemoryBank.submit_fast`), and kernels run
-    as :class:`repro.core.kernels.FastStreamKernel` actors instead of
-    SPU generator programs.
+    (:meth:`repro.cell.memory.MemoryBank.submit_fast`), MFC commands are
+    flat movers, and the stream program runs as a
+    :class:`repro.core.kernels.FastStreamKernel` actor instead of an SPU
+    generator (:func:`repro.core.kernels.load_stream_kernel` picks the
+    driver).  Any other libspe program still runs as a generator, next
+    to the actors, on the same chip state.
     """
 
     engine_name = "fast"

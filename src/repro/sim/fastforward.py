@@ -56,8 +56,9 @@ Conservative bail-out
 warped window: an ``elem``-mode kernel must stay strictly below its
 element count (``N <= (n - 1 - issued) // d``), a ``list``-mode kernel
 must keep ``remaining > batch`` so its chunk size stays constant
-(``N <= (n - issued - batch - 1) // d``).  A kernel that is unfinished
-but made no progress over the period refuses the warp entirely.  Any
+(``N <= (n - issued - chunk - 1) // d``; the chunk is the batch until
+the short last list).  A kernel that is unfinished but made no progress
+over the period refuses the warp entirely.  Any
 structure the fingerprint does not fully describe — an unknown heap
 item type, a non-integer actor value, parked (fault-dropped) commands,
 fence/barrier waiters, outstanding tags outside the streaming pair —
@@ -271,20 +272,20 @@ class FastForward:
         # branch on it solely when _sync_every is set); on a sync-free
         # kernel it grows monotonically and would block every
         # recurrence, so there it is a plain counter (advanced linearly
-        # by the warp, never fingerprinted).
-        after_issue = getattr(obj, "_after_issue", None)
-        after_sync = getattr(obj, "_after_sync", None)
+        # by the warp, never fingerprinted).  _list stands for the issue
+        # cost and sync cadence that _warmed switches with it.
         return (
             "K",
             obj.spe.node,
             obj._run_callbacks.__name__,
             obj.finished,
-            getattr(obj, "_pend_tag", None),
-            None if obj._sync_every is None else getattr(obj, "_since_sync", None),
-            getattr(obj, "_chunk", None),
-            getattr(obj, "_warm_i", None),
-            None if after_issue is None else after_issue.__name__,
-            None if after_sync is None else after_sync.__name__,
+            obj._pend_tag,
+            None if obj._sync_every is None else obj._since_sync,
+            obj._list,
+            obj._chunk,
+            obj._warm_i,
+            obj._after_issue.__name__,
+            obj._after_sync.__name__,
             self._checked_value(obj),
         )
 
@@ -340,8 +341,8 @@ class FastForward:
             obj._burst_i,
             getattr(obj, "_cur_nbytes", None),
             obj._outstanding_bursts,
-            obj._inflight,
-            obj._token_waiting,
+            obj._window.count,
+            len(obj._window.queue),
             obj._all_issued,
             self._checked_value(obj),
         )
@@ -450,13 +451,13 @@ class FastForward:
     # -- counters --------------------------------------------------------------
 
     def _counters(self) -> tuple:
-        # A kernel still in its warm-up phase has no _issued yet; it
+        # A kernel still in its warm-up phase has issued nothing yet; it
         # reads as 0 progress, which _margin turns into a refusal.
-        vals: list[int] = [getattr(k, "_issued", 0) for k in self.kernels]
+        vals: list[int] = [k._issued for k in self.kernels]
         # _since_sync advances linearly between recurrences: +d per
         # period on a sync-free kernel, +0 on a synced one (there it is
         # also in the fingerprint, so recurrence pins its value).
-        vals += (getattr(k, "_since_sync", 0) for k in self.kernels)
+        vals += (k._since_sync for k in self.kernels)
         for mfc in self.mfcs:
             vals += (
                 mfc._total_enqueued,
@@ -554,10 +555,12 @@ class FastForward:
                 return 0
             issued = kernel._issued
             n = kernel._n
-            if kernel.workload.mode == "elem":
-                room = (n - 1 - issued) // d
+            if kernel._list:
+                # The chunk is the batch until the short last list,
+                # which leaves no room in either case.
+                room = (n - issued - kernel._chunk - 1) // d
             else:
-                room = (n - issued - kernel._batch - 1) // d
+                room = (n - 1 - issued) // d
             if room <= 0:
                 return 0
             margin = room if margin is None else min(margin, room)

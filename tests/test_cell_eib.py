@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from repro.cell import CellChip, ConfigError
 from repro.cell.eib import HOP_LATENCY_CYCLES
 from repro.cell.topology import CLOCKWISE, COUNTERCLOCKWISE, SpeMapping
-from repro.core.kernels import DmaWorkload, FastStreamKernel, dma_stream_kernel
-from repro.libspe import SpeContext
+from repro.core.kernels import DmaWorkload, load_stream_kernel
 from repro.sim.engine_fast import ENGINES
 
 
@@ -209,10 +208,7 @@ def run_stream(engine, workload, n_spes=2, seed=1000):
     run_spec places them; returns the chip after the run."""
     chip = CellChip(mapping=SpeMapping.random(seed, 8), engine=engine)
     for logical in range(n_spes):
-        if engine == "fast":
-            FastStreamKernel(chip.env, chip.spe(logical), workload, {})
-        else:
-            SpeContext(chip, logical).load(dma_stream_kernel, workload, {})
+        load_stream_kernel(chip, logical, workload, {})
     chip.run()
     return chip
 

@@ -11,13 +11,20 @@ import runpy
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cell.chip import CellChip
 from repro.cell.config import CellConfig
 from repro.cell.dma import coalesce_bursts, uniform_bursts
 from repro.core.experiment import RunSpec, run_spec
 from repro.cell.topology import SpeMapping
-from repro.core.kernels import DmaWorkload, FastStreamKernel, dma_stream_kernel
+from repro.core.kernels import (
+    DmaWorkload,
+    FastStreamKernel,
+    dma_stream_kernel,
+    load_stream_kernel,
+)
 from repro.libspe import SpeContext
 from repro.runtime.parallel import SweepExecutor
 from repro.sim.core import SimulationError
@@ -147,6 +154,15 @@ class TestByteIdentity:
                  seed=16),
         spec_for("get", n_spes=1, mode="list", element_bytes=8192,
                  partner_logical=1, seed=14),
+        # A known divergence: the fast mover's whole-leg merge moves a
+        # lone PUT stream's end time when it syncs every 2 commands (see
+        # the whole-leg merge FOUND note in CHANGES.md).
+        pytest.param(
+            spec_for("put", n_spes=1, n_elements=16, sync_every=2, seed=0),
+            marks=pytest.mark.xfail(
+                strict=True, reason="whole-leg merge moves the end time",
+            ),
+        ),
     ]
 
     @pytest.mark.parametrize(
@@ -164,6 +180,82 @@ class TestByteIdentity:
     )
     def test_fast_equals_reference(self, spec):
         assert run_spec(spec, engine="fast") == run_spec(spec)
+
+
+def stream_state(engine, workload, n_spes, seed, unrolled):
+    """Run ``workload`` on logical SPEs 0..n_spes-1 and read back every
+    result and model counter the two engines must agree on."""
+    chip = CellChip(mapping=SpeMapping.random(seed, 8), engine=engine)
+    partner = (
+        None if workload.partner_logical is None
+        else chip.spe(workload.partner_logical)
+    )
+    outs = [{} for _ in range(n_spes)]
+    for logical, out in enumerate(outs):
+        load_stream_kernel(chip, logical, workload, out, partner, unrolled)
+    chip.run()
+    eib = chip.eib
+    # eib.conflicts and eib.wait_cycles are left out: the fast mover's
+    # whole-leg merge can hide a chunk boundary the reference engine
+    # contends at (see the whole-leg merge FOUND note in CHANGES.md).
+    return {
+        "outs": outs,
+        "end": chip.env.now,
+        "eib": (eib.grants, eib.bytes_moved),
+        "utilization": eib.utilization(),
+        "mfcs": [
+            (spe.mfc.commands_completed, spe.mfc.bytes_transferred,
+             spe.mfc.queue_free_slots)
+            for spe in chip.spes
+        ],
+        "banks": [
+            (bank.commands_served, bank.bytes_served, bank.busy_time())
+            for bank in chip.memory.banks
+        ],
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    direction=st.sampled_from(("get", "put", "copy")),
+    mode=st.sampled_from(("elem", "list")),
+    sync_every=st.sampled_from((None, 1, 2, 3)),
+    unrolled=st.booleans(),
+    element_bytes=st.sampled_from((32, 64, 128, 1024, 4096, 16384)),
+    n_elements=st.integers(min_value=1, max_value=24),
+    partner=st.booleans(),
+    n_spes=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+# List mode with a sync cadence: no TestByteIdentity shape pins it.
+@example(direction="copy", mode="list", sync_every=2, unrolled=True,
+         element_bytes=4096, n_elements=9, partner=False, n_spes=2, seed=3)
+@example(direction="get", mode="list", sync_every=1, unrolled=False,
+         element_bytes=64, n_elements=5, partner=True, n_spes=1, seed=0)
+def test_stream_program_matches_across_engines(
+    direction, mode, sync_every, unrolled, element_bytes, n_elements,
+    partner, n_spes, seed,
+):
+    # Logical SPE 3 is never one of the 1-3 streaming SPEs.
+    workload = DmaWorkload(
+        direction=direction,
+        element_bytes=element_bytes,
+        n_elements=n_elements,
+        mode=mode,
+        sync_every=sync_every,
+        partner_logical=3 if partner else None,
+    )
+    fast = stream_state("fast", workload, n_spes, seed, unrolled)
+    reference = stream_state("reference", workload, n_spes, seed, unrolled)
+    if (n_spes == 1 and direction == "put" and mode == "elem"
+            and sync_every is not None and not partner
+            and element_bytes >= 8192):
+        # The whole-leg merge can also move a lone synced PUT stream's
+        # end time and ring busy time; the xfail case of
+        # TestByteIdentity pins it.
+        for key in ("outs", "end", "utilization"):
+            del fast[key], reference[key]
+    assert fast == reference
 
 
 class TestExecutorEngine:
@@ -244,3 +336,26 @@ class TestMixedTraffic:
         assert fast == self.run_against_memory("reference", seed)
         # Both programs reach both banks.
         assert all(fast[5])
+
+    @staticmethod
+    def free_slots_while_issuing(engine):
+        """queue_free_slots after each of 20 libspe GETs, issued back to
+        back into distinct LS buffers."""
+        chip = CellChip(engine=engine)
+        seen = []
+
+        def program(spu, out):
+            for i in range(20):
+                yield from spu.mfc_get(size=8192, tag=0, local_offset=i * 8192,
+                                       remote_offset=i * 8192)
+                seen.append(spu.spe.mfc.queue_free_slots)
+            yield from spu.wait_tags([0])
+
+        SpeContext(chip, 0).load(program, {})
+        chip.run()
+        return seen
+
+    def test_queue_free_slots_counts_libspe_commands(self):
+        reference = self.free_slots_while_issuing("reference")
+        assert reference == list(range(15, 0, -1)) + [0] * 5
+        assert self.free_slots_while_issuing("fast") == reference
